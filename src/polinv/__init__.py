@@ -6,7 +6,6 @@ Galois maps, primitive-positive formula evaluation and definability, and
 generalized diagonal relations built from partition-lattice ideals.
 """
 
-from .cli import GaloisReport, galois_check
 from .clones import (
     EssentialSet,
     OperationSet,
@@ -26,7 +25,7 @@ from .core import (
     preserves,
 )
 from .errors import ParseError, PolinvError, ResourceBoundError
-from .galois import RelationSet, inv, invariant_closure, pol
+from .galois import GaloisReport, RelationSet, galois_check, inv, invariant_closure, pol
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     DiagonalRelation,

@@ -1,4 +1,4 @@
-"""Command-line front end and the end-to-end Galois verification report.
+"""Command-line front end: argument handling and output formatting.
 
 Output contract: one summary line (suppressed by --quiet) followed by
 listing lines, all in canonical order, byte-identical across runs.
@@ -9,84 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-from .clones import OperationSet, clone_closure, essential_variables, graph_relation
+from .clones import clone_closure, essential_variables, graph_relation
 from .core import Domain, Operation, Relation
 from .errors import ParseError, ResourceBoundError
-from .galois import RelationSet, inv, pol
-from .limits import DEFAULT_LIMITS, Limits
+from .galois import RelationSet, galois_check, inv, pol
+from .limits import Limits
 from .partitions import diagonal_relation, format_partition, ideal_downset, parse_partition
 from .pp import eval_pp, pp_closure_of
 from .workspace import load_workspace
-
-
-@dataclass(frozen=True)
-class GaloisReport:
-    """Result of one bounded correspondence check.
-
-    recovered_ops are the polymorphisms of every invariant found up to
-    max_k; witnesses hold any disagreement with the clone's own members
-    (empty exactly when the check passes).
-    """
-
-    domain: Domain
-    arity: int
-    max_k: int
-    clone_ops: OperationSet
-    invariant_count: int
-    recovered_ops: OperationSet
-    witnesses: tuple[Operation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-
-def galois_check(
-    generators: OperationSet,
-    arity: int,
-    *,
-    max_k: int | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> GaloisReport:
-    """Close the generators at the given arity, collect every relation of
-    arity 1..max_k they preserve, and recover the arity-n polymorphisms of
-    that relation set.  Passes when recovery returns exactly the closure's
-    n-ary members.  max_k defaults to d^n, which always suffices: the
-    relation whose tuples are the value tables of the n-ary members is
-    itself invariant and separates everything outside the clone."""
-    domain = generators.domain
-    if arity < 1:
-        raise ValueError(f"arity must be at least 1, got {arity}")
-    if max_k is None:
-        max_k = domain.size**arity
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
-    include_nullary = any(op.arity == 0 for op in generators)
-    closure = clone_closure(generators, arity, include_nullary=include_nullary, limits=limits)
-    clone_n = OperationSet(domain, closure.arity_members(arity))
-    # Invariants of the generators equal invariants of the whole closure:
-    # preservation survives composition and projections preserve anything.
-    collected: list[Relation] = []
-    for k in range(1, max_k + 1):
-        collected.extend(inv(generators, k, limits=limits).rels)
-    invariants = RelationSet(domain, tuple(collected))
-    recovered = pol(invariants, arity, limits=limits)
-    clone_tables = {op.table for op in clone_n}
-    recovered_tables = {op.table for op in recovered}
-    witnesses = tuple(op for op in recovered if op.table not in clone_tables)
-    witnesses += tuple(op for op in clone_n if op.table not in recovered_tables)
-    return GaloisReport(
-        domain=domain,
-        arity=arity,
-        max_k=max_k,
-        clone_ops=clone_n,
-        invariant_count=len(invariants),
-        recovered_ops=recovered,
-        witnesses=witnesses,
-    )
 
 
 class _UsageError(Exception):

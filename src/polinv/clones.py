@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -39,7 +40,8 @@ class OperationSet:
         return len(self.ops)
 
     def __contains__(self, op: Operation) -> bool:
-        return any(o == op for o in self.ops)
+        i = bisect_left(self.ops, (op.arity, op.table), key=lambda o: (o.arity, o.table))
+        return i < len(self.ops) and self.ops[i] == op
 
     def arity_members(self, arity: int) -> tuple[Operation, ...]:
         return tuple(op for op in self.ops if op.arity == arity)

@@ -14,6 +14,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -124,7 +125,8 @@ class Relation:
         object.__setattr__(self, "tuples", tuple(canon))
 
     def __contains__(self, t: Sequence[int]) -> bool:
-        return tuple(t) in set(self.tuples)
+        i = bisect_left(self.tuples, tuple(t))
+        return i < len(self.tuples) and self.tuples[i] == tuple(t)
 
     def __len__(self) -> int:
         return len(self.tuples)

@@ -3,25 +3,22 @@
 inv enumerates every relation of a given arity preserved by all given
 operations (full 2^(d^k) subset sweep, capped); pol enumerates every
 operation of a given arity preserving all given relations (depth-first
-table construction with forward pruning, checked against a brute-force
-filter).  invariant_closure generates the least invariant superset of a
-seed tuple set.
+table construction with forward pruning).  invariant_closure generates
+the least invariant superset of a seed tuple set; galois_check checks
+that pol recovers a generated clone from its maximal invariants.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .clones import OperationSet
-from .core import Domain, Operation, Relation, preserves
+from .clones import OperationSet, clone_closure
+from .core import Domain, Operation, Relation
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
-
-# Above this many precomputed row combinations pol switches from the
-# backtracking route to the filter route; see _pol_filter.
-_BACKTRACK_COMBO_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,8 @@ class RelationSet:
         return len(self.rels)
 
     def __contains__(self, r: Relation) -> bool:
-        return any(s == r for s in self.rels)
+        i = bisect_left(self.rels, (r.arity, r.tuples), key=lambda s: (s.arity, s.tuples))
+        return i < len(self.rels) and self.rels[i] == r
 
     def arity_members(self, arity: int) -> tuple[Relation, ...]:
         return tuple(r for r in self.rels if r.arity == arity)
@@ -160,21 +158,37 @@ def inv(
     return RelationSet(domain, tuple(found))
 
 
-def _pol_backtracking(
-    rels: RelationSet, arity: int, domain: Domain
-) -> list[tuple[int, ...]]:
-    """Depth-first assignment of table cells in lexicographic order.
+def pol(
+    rels: RelationSet,
+    arity: int,
+    *,
+    include_nullary: bool = False,
+    limits: Limits = DEFAULT_LIMITS,
+) -> OperationSet:
+    """Every operation of the given arity preserving all members of rels,
+    tables ascending; an empty rels set yields every table.
 
-    A partial table is rejected as soon as some row combination whose
+    Depth-first assignment of table cells in lexicographic order: a
+    partial table is rejected as soon as some row combination whose
     output cells are all assigned lands outside its relation.  Each
-    combination is checked exactly once, at the node assigning its
-    highest-indexed cell.
+    combination is checked once, at the node assigning its highest cell.
     """
+    if arity < 0:
+        raise ValueError(f"arity must be nonnegative, got {arity}")
+    if arity == 0 and not include_nullary:
+        raise ValueError("operation arity 0 requires include_nullary")
+    domain = rels.domain
     d = domain.size
     cells = d**arity
+    if cells > limits.max_materialize:
+        raise ResourceBoundError(
+            f"tables of arity {arity} hold {cells} entries, "
+            f"materialization cap is {limits.max_materialize}"
+        )
+    _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
+    _guard_enumeration(sum(len(r) ** arity for r in rels), f"pol constraints at arity {arity}", limits)
     constraints: list[tuple[set[tuple[int, ...]], dict[int, list[tuple[int, ...]]]]] = []
     for r in rels:
-        tset = set(r.tuples)
         by_trigger: dict[int, list[tuple[int, ...]]] = {}
         for combo in product(r.tuples, repeat=arity):
             vec = []
@@ -184,10 +198,10 @@ def _pol_backtracking(
                     cell = cell * d + t[j]
                 vec.append(cell)
             by_trigger.setdefault(max(vec, default=0), []).append(tuple(vec))
-        constraints.append((tset, by_trigger))
+        constraints.append((set(r.tuples), by_trigger))
 
     table = [0] * cells
-    results: list[tuple[int, ...]] = []
+    found: list[Operation] = []
 
     def extend(c: int) -> None:
         for v in range(d):
@@ -202,56 +216,12 @@ def _pol_backtracking(
                     break
             if ok:
                 if c + 1 == cells:
-                    results.append(tuple(table))
+                    found.append(Operation(domain, arity, tuple(table)))
                 else:
                     extend(c + 1)
 
     extend(0)
-    return results
-
-
-def _pol_filter(rels: RelationSet, arity: int, domain: Domain) -> list[tuple[int, ...]]:
-    """Enumerate all d^(d^arity) tables and keep the preserving ones."""
-    d = domain.size
-    found = []
-    for table in product(range(d), repeat=d**arity):
-        op = Operation(domain, arity, table)
-        if all(preserves(op, r) for r in rels):
-            found.append(table)
-    return found
-
-
-def pol(
-    rels: RelationSet,
-    arity: int,
-    *,
-    include_nullary: bool = False,
-    limits: Limits = DEFAULT_LIMITS,
-) -> OperationSet:
-    """Every operation of the given arity preserving all members of rels.
-
-    An empty rels set yields every table.  Result order is canonical
-    (tables ascending); both internal routes produce the identical set.
-    """
-    if arity < 0:
-        raise ValueError(f"arity must be nonnegative, got {arity}")
-    if arity == 0 and not include_nullary:
-        raise ValueError("operation arity 0 requires include_nullary")
-    domain = rels.domain
-    cells = domain.size**arity
-    if cells > limits.max_materialize:
-        raise ResourceBoundError(
-            f"tables of arity {arity} hold {cells} entries, "
-            f"materialization cap is {limits.max_materialize}"
-        )
-    _guard_enumeration(domain.size**cells, f"pol at arity {arity}", limits)
-    total_combos = sum(len(r) ** arity for r in rels)
-    _guard_enumeration(total_combos, f"pol constraints at arity {arity}", limits)
-    if total_combos > _BACKTRACK_COMBO_BUDGET:
-        tables = _pol_filter(rels, arity, domain)
-    else:
-        tables = _pol_backtracking(rels, arity, domain)
-    return OperationSet(domain, tuple(Operation(domain, arity, t) for t in tables))
+    return OperationSet(domain, tuple(found))
 
 
 def invariant_closure(
@@ -292,3 +262,96 @@ def invariant_closure(
         if not fresh:
             return Relation(domain, arity, tuple(current))
         current |= fresh
+
+
+def _maximal_invariants(invariants: RelationSet, arity: int) -> tuple[Relation, ...]:
+    """The members of inv's output at one arity that are maximal among
+    those avoiding some tuple x.  They have the same polymorphisms as the
+    whole output: every member R but the full relation is the
+    intersection, over x outside R, of a kept member containing R and
+    avoiding x, and Pol(R & S) contains Pol(R) & Pol(S)."""
+    by_mask = {sum(1 << invariants.domain.tuple_index(t) for t in r): r for r in invariants}
+    largest_first = sorted(by_mask, key=int.bit_count, reverse=True)
+    kept: set[int] = set()
+    for x in range(invariants.domain.size**arity):
+        maximal: list[int] = []
+        for mask in largest_first:
+            if not mask >> x & 1:
+                # every larger avoider came earlier and sits under a kept one
+                for m in maximal:
+                    if mask & m == mask:
+                        break
+                else:
+                    maximal.append(mask)
+        kept.update(maximal)
+    return tuple(by_mask[mask] for mask in kept)
+
+
+@dataclass(frozen=True)
+class GaloisReport:
+    """Result of one bounded correspondence check.
+
+    recovered_ops are the polymorphisms of every invariant found up to
+    max_k; witnesses hold any disagreement with the clone's own members
+    (empty exactly when the check passes).
+    """
+
+    domain: Domain
+    arity: int
+    max_k: int
+    clone_ops: OperationSet
+    invariant_count: int
+    recovered_ops: OperationSet
+    witnesses: tuple[Operation, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
+
+
+def galois_check(
+    generators: OperationSet,
+    arity: int,
+    *,
+    max_k: int | None = None,
+    limits: Limits = DEFAULT_LIMITS,
+) -> GaloisReport:
+    """Close the generators at the given arity, collect every relation of
+    arity 1..max_k they preserve, and recover the arity-n polymorphisms of
+    that relation set.  Passes when recovery returns exactly the closure's
+    n-ary members.  max_k defaults to d^n, which always suffices: the
+    relation whose tuples are the value tables of the n-ary members is
+    itself invariant and separates everything outside the clone.  pol gets
+    only the maximal invariants, which suffice (see _maximal_invariants)."""
+    domain = generators.domain
+    if arity < 1:
+        raise ValueError(f"arity must be at least 1, got {arity}")
+    if max_k is None:
+        max_k = domain.size**arity
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    include_nullary = any(op.arity == 0 for op in generators)
+    closure = clone_closure(generators, arity, include_nullary=include_nullary, limits=limits)
+    clone_n = OperationSet(domain, closure.arity_members(arity))
+    # Invariants of the generators equal invariants of the whole closure:
+    # preservation survives composition and projections preserve anything.
+    invariant_count = 0
+    kept: list[Relation] = []
+    for k in range(1, max_k + 1):
+        invariants = inv(generators, k, limits=limits)
+        invariant_count += len(invariants)
+        kept.extend(_maximal_invariants(invariants, k))
+    recovered = pol(RelationSet(domain, tuple(kept)), arity, limits=limits)
+    clone_tables = {op.table for op in clone_n}
+    recovered_tables = {op.table for op in recovered}
+    witnesses = tuple(op for op in recovered if op.table not in clone_tables)
+    witnesses += tuple(op for op in clone_n if op.table not in recovered_tables)
+    return GaloisReport(
+        domain=domain,
+        arity=arity,
+        max_k=max_k,
+        clone_ops=clone_n,
+        invariant_count=invariant_count,
+        recovered_ops=recovered,
+        witnesses=witnesses,
+    )

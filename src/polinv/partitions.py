@@ -14,6 +14,7 @@ of the row kernels and stays inside the ideal.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -94,7 +95,8 @@ class PartitionIdeal:
         return len(self.members)
 
     def __contains__(self, p: Partition) -> bool:
-        return p in set(self.members)
+        i = bisect_left(self.members, p.blocks, key=lambda q: q.blocks)
+        return i < len(self.members) and self.members[i] == p
 
 
 def ideal_downset(

@@ -6,6 +6,7 @@ definitions or independent oracles, never from the code paths under
 test.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 
+import polinv
 from polinv import (
     Operation,
     OperationSet,
@@ -229,6 +231,9 @@ CLI_SUITE = (
 
 def test_criterion_9_cli_runs_are_byte_identical():
     with criterion(9, "three repeated CLI runs of the command suite are byte-identical"):
+        # the child processes run the same package this test imported
+        path = [str(Path(polinv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         outcomes = []
         for _ in range(3):
             batch = []
@@ -236,6 +241,7 @@ def test_criterion_9_cli_runs_are_byte_identical():
                 proc = subprocess.run(
                     [sys.executable, "-m", "polinv", *args],
                     capture_output=True,
+                    env=env,
                     timeout=300,
                 )
                 batch.append((args[0], proc.returncode, proc.stdout, proc.stderr))

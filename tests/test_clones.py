@@ -119,6 +119,10 @@ def test_operation_set_deduplicates_by_table():
     s = OperationSet(BOOL, (AND, AND.renamed("conj"), NOT))
     assert len(s) == 2
     assert [op.name for op in s] == ["NOT", "AND"]
+    assert AND.renamed("x") in s and NOT in s
+    assert OR not in s and IDENT not in s
+    assert Operation(THREE, 1, (1, 0, 2)) not in s
+    assert Operation(THREE, 0, (1,)) not in OperationSet(BOOL, (Operation(BOOL, 0, (1,)),))
 
 
 def test_operation_set_canonical_order():

@@ -118,8 +118,9 @@ def test_relation_canonical_form():
     r = Relation(BOOL, 2, ((1, 1), (0, 0), (1, 1)))
     assert r.tuples == ((0, 0), (1, 1))
     assert len(r) == 2
-    assert (1, 1) in r
-    assert (0, 1) not in r
+    assert (1, 1) in r and [0, 0] in r
+    assert (0, 1) not in r and (1, 0) not in r
+    assert (0, 2) not in r and (2, 2) not in r
 
 
 def test_relation_entry_bounds_checked():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,17 +13,19 @@ from polinv import (
     pol,
     preserves,
 )
-from polinv.galois import _pol_backtracking, _pol_filter
+from polinv.galois import _maximal_invariants
 from polinv.limits import Limits
 
 from helpers import (
     AND,
     BOOL,
+    EQ,
     LEQ,
     NEQ,
     NOT,
     OR,
     THREE,
+    XOR,
     opset,
     oracle_inv,
     oracle_pol,
@@ -38,6 +41,9 @@ def test_relation_set_deduplicates_and_orders():
     assert len(s) == 2
     assert s.rels[0] == LEQ  # tuple lists compare lexicographically at equal arity
     assert s.rels[0].name == "leq"
+    assert NEQ in s and LEQ.renamed("other") in s
+    assert EQ not in s
+    assert Relation(THREE, 2, NEQ.tuples) not in s
 
 
 def test_relation_set_rejects_foreign_domain():
@@ -109,22 +115,33 @@ def test_pol_of_empty_relation():
 
 def test_pol_matches_filtering_oracle():
     rng = random.Random(53)
+    cases = []
     for _ in range(8):
         rels = [random_relation(rng, BOOL, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-        for arity in (1, 2):
-            got = {f.table for f in pol(relation_set(rels), arity)}
-            want = {f.table for f in oracle_pol(rels, arity, BOOL)}
-            assert got == want
+        cases += [(BOOL, rels, 1), (BOOL, rels, 2)]
+    cases.append((THREE, [Relation(THREE, 2, ((0, 0), (1, 1), (2, 2), (0, 1)))], 1))
+    for domain, rels, arity in cases:
+        got = {f.table for f in pol(relation_set(rels, domain), arity)}
+        want = {f.table for f in oracle_pol(rels, arity, domain)}
+        assert got == want
 
 
-def test_pol_routes_agree():
-    rng = random.Random(59)
-    for _ in range(10):
-        rels = relation_set([random_relation(rng, BOOL, rng.randint(1, 2)) for _ in range(2)])
-        for arity in (1, 2):
-            assert sorted(_pol_backtracking(rels, arity, BOOL)) == sorted(_pol_filter(rels, arity, BOOL))
-    three_rels = RelationSet(THREE, (Relation(THREE, 2, ((0, 0), (1, 1), (2, 2), (0, 1))),))
-    assert sorted(_pol_backtracking(three_rels, 1, THREE)) == sorted(_pol_filter(three_rels, 1, THREE))
+def test_maximal_invariants_have_the_same_polymorphisms():
+    subsets = [gens for n in range(5) for gens in combinations((AND, OR, NOT, XOR), n)]
+    cases = [(gens, k, (1, 2)) for gens in subsets for k in (1, 2, 3)]
+    three_min = Operation(THREE, 2, tuple(min(a, b) for a in range(3) for b in range(3)))
+    three_neg = Operation(THREE, 1, (2, 1, 0))
+    cases += [((three_min, three_neg), k, (1, 2)) for k in (1, 2)]
+    cases.append(((AND,), 4, (2,)))  # 302,462 row combinations over all invariants
+    for gens, k, arities in cases:
+        domain = gens[0].domain if gens else BOOL
+        invariants = inv(opset(gens, domain), k)
+        kept = _maximal_invariants(invariants, k)
+        assert all(r in invariants for r in kept)
+        for arity in arities:
+            assert pol(relation_set(kept, domain), arity) == pol(invariants, arity)
+    # with no generators every relation is invariant: the maximal ones miss one tuple each
+    assert sorted(len(r) for r in _maximal_invariants(inv(opset([]), 3), 3)) == [7] * 8
 
 
 def test_pol_table_cap():

@@ -72,8 +72,9 @@ def test_ideal_must_contain_meets():
 def test_ideal_accepts_valid_members():
     ideal = PartitionIdeal(3, (Partition.top(3), P01_2))
     assert len(ideal) == 2
-    assert Partition.top(3) in ideal
-    assert P0_12 not in ideal
+    assert Partition.top(3) in ideal and P01_2 in ideal
+    assert P0_12 not in ideal and Partition.bottom(3) not in ideal
+    assert Partition.top(4) not in ideal and Partition(2, ((0,), (1,))) not in ideal
 
 
 def test_ideal_rejects_empty():
