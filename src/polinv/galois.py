@@ -1,11 +1,13 @@
 """The two Galois maps between operation sets and relation sets.
 
 inv enumerates every relation of a given arity preserved by all given
-operations (full 2^(d^k) subset sweep, capped); pol enumerates every
-operation of a given arity preserving all given relations (depth-first
-table construction with forward pruning).  invariant_closure generates
-the least invariant superset of a seed tuple set; galois_check checks
-that pol recovers a generated clone from its maximal invariants.
+operations (depth-first search over tuple sets in rank order, pruned as
+soon as the set's image holds a tuple it can no longer gain); pol
+enumerates every operation of a given arity preserving all given
+relations (depth-first table construction with forward pruning).
+invariant_closure generates the least invariant superset of a seed
+tuple set; galois_check checks that pol recovers a generated clone from
+its maximal invariants.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clones import OperationSet, clone_closure
 from .core import Domain, Operation, Relation
@@ -65,63 +67,97 @@ def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
         raise ResourceBoundError(f"{what} needs {count} candidates, cap is {limits.max_candidates}")
 
 
-def _make_checker(f: Operation, all_tuples: list[tuple[int, ...]], domain: Domain) -> Callable:
-    """Build a fast mask-level preservation check for one operation.
+def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
+    """Bitmasks over tuple ranks of every relation of the given arity
+    preserved by all members of ops.
 
-    Tuples of the relation arity are identified with their lexicographic
-    ranks; a candidate relation is a bitmask over ranks.
+    A relation is closed when it holds its image: every tuple any member
+    of ops produces from its rows.  Depth-first search adds tuples in
+    increasing rank, carrying the image of the set built so far, and
+    prunes as soon as the image holds a tuple of rank at most the newest
+    one that the set lacks.  This is exact: the image only grows along a
+    branch and every later tuple ranks higher, so a pruned branch holds
+    no closed set; and each prefix of a closed set misses only image
+    tuples of that set, all ranked above the prefix, so none is pruned.
+    The same argument bounds each child's rank by the lowest missing one.
     """
+    domain = ops.domain
     d = domain.size
-    k = len(all_tuples[0])
-    m = f.arity
-    table = f.table
-    if m == 0:
-        diag = domain.tuple_index((table[0],) * k)
-        return lambda mask, rows: bool(mask >> diag & 1)
-    if m == 1:
-        out1 = [domain.tuple_index(tuple(table[v] for v in t)) for t in all_tuples]
+    size = d**arity
+    if size > limits.max_materialize:
+        raise ResourceBoundError(
+            f"relations of arity {arity} hold up to {size} tuples, "
+            f"materialization cap is {limits.max_materialize}"
+        )
+    _guard_enumeration(2**size, f"inv at arity {arity}", limits)
+    tuples = list(domain.tuples(arity))
 
-        def check1(mask: int, rows: list[int]) -> bool:
-            for i in rows:
-                if not mask >> out1[i] & 1:
-                    return False
-            return True
+    def image(f: Operation, rows: Sequence[int]) -> int:
+        out = 0
+        for j in range(arity):
+            cell = 0
+            for r in rows:
+                cell = cell * d + tuples[r][j]
+            out = out * d + f.table[cell]
+        return 1 << out
 
-        return check1
-    if m == 2:
-        out2 = []
-        for t1 in all_tuples:
-            row = []
-            for t2 in all_tuples:
-                idx = 0
-                for a, b in zip(t1, t2):
-                    idx = idx * d + table[a * d + b]
-                row.append(idx)
-            out2.append(row)
+    # root is the image of the empty set (the nullary constants); pair[t][b]
+    # is the image of the unary and binary row combinations over {t, b}
+    # that use both t and b, with b == t allowed
+    root = 0
+    pair = [[0] * size for _ in range(size)]
+    wide: list[Operation] = []
+    for f in ops:
+        if f.arity == 0:
+            root |= image(f, ())
+        elif f.arity == 1:
+            for t in range(size):
+                pair[t][t] |= image(f, (t,))
+        elif f.arity == 2:
+            for t in range(size):
+                for b in range(size):
+                    bit = image(f, (t, b))
+                    pair[t][b] |= bit
+                    pair[b][t] |= bit
+        else:
+            wide.append(f)
 
-        def check2(mask: int, rows: list[int]) -> bool:
-            for i in rows:
-                oi = out2[i]
-                for j in rows:
-                    if not mask >> oi[j] & 1:
-                        return False
-            return True
+    found: list[int] = []
+    path: list[int] = []
 
-        return check2
+    def visit(mask: int, img: int, top: int) -> None:
+        missing = img & ~mask
+        if not missing:
+            found.append(mask)
+        last = (missing & -missing).bit_length() - 1 if missing else size - 1
+        for t in range(top + 1, last + 1):
+            grown = mask | 1 << t
+            row = pair[t]
+            new = img | row[t]
+            for b in path:
+                new |= row[b]
+            if wide:
+                rows = path + [t]
+                for f in wide:
+                    # row combinations from rows whose first t sits at i
+                    for i in range(f.arity):
+                        for combo in product(*[path] * i, [t], *[rows] * (f.arity - 1 - i)):
+                            new |= image(f, combo)
+            if new & ~grown & ((2 << t) - 1):
+                continue
+            path.append(t)
+            visit(grown, new, t)
+            path.pop()
 
-    def check_general(mask: int, rows: list[int]) -> bool:
-        for combo in product(rows, repeat=m):
-            out = 0
-            for j in range(k):
-                cell = 0
-                for ri in combo:
-                    cell = cell * d + all_tuples[ri][j]
-                out = out * d + table[cell]
-            if not mask >> out & 1:
-                return False
-        return True
+    visit(0, root, -1)
+    return found
 
-    return check_general
+
+def _relations(domain: Domain, arity: int, masks: Iterable[int]) -> tuple[Relation, ...]:
+    tuples = list(domain.tuples(arity))
+    return tuple(
+        Relation(domain, arity, tuple(t for i, t in enumerate(tuples) if mask >> i & 1)) for mask in masks
+    )
 
 
 def inv(
@@ -131,31 +167,18 @@ def inv(
     include_nullary: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> RelationSet:
-    """Every relation of the given arity preserved by all members of ops.
+    """Every relation of the given arity preserved by all members of ops;
+    an empty ops set therefore yields every relation of that arity.
 
-    Sweeps all 2^(d^arity) candidate tuple sets; an empty ops set
-    therefore yields every relation of that arity.
+    A pruned depth-first search over tuple sets (see _invariant_masks):
+    its cost follows the number of invariants, but the candidate cap
+    still applies to all 2^(d^arity) tuple sets up front.
     """
     if arity < 0:
         raise ValueError(f"arity must be nonnegative, got {arity}")
     if arity == 0 and not include_nullary:
         raise ValueError("relation arity 0 requires include_nullary")
-    domain = ops.domain
-    size = domain.size**arity
-    if size > limits.max_materialize:
-        raise ResourceBoundError(
-            f"relations of arity {arity} hold up to {size} tuples, "
-            f"materialization cap is {limits.max_materialize}"
-        )
-    _guard_enumeration(2**size, f"inv at arity {arity}", limits)
-    all_tuples = list(domain.tuples(arity))
-    checkers = [_make_checker(f, all_tuples, domain) for f in ops]
-    found = []
-    for mask in range(2**size):
-        rows = [i for i in range(size) if mask >> i & 1]
-        if all(check(mask, rows) for check in checkers):
-            found.append(Relation(domain, arity, tuple(all_tuples[i] for i in rows)))
-    return RelationSet(domain, tuple(found))
+    return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
 
 
 def pol(
@@ -264,16 +287,15 @@ def invariant_closure(
         current |= fresh
 
 
-def _maximal_invariants(invariants: RelationSet, arity: int) -> tuple[Relation, ...]:
-    """The members of inv's output at one arity that are maximal among
-    those avoiding some tuple x.  They have the same polymorphisms as the
-    whole output: every member R but the full relation is the
-    intersection, over x outside R, of a kept member containing R and
-    avoiding x, and Pol(R & S) contains Pol(R) & Pol(S)."""
-    by_mask = {sum(1 << invariants.domain.tuple_index(t) for t in r): r for r in invariants}
-    largest_first = sorted(by_mask, key=int.bit_count, reverse=True)
+def _maximal_invariants(masks: Sequence[int], size: int) -> list[int]:
+    """The invariants of one arity, as bitmasks over the size tuple ranks,
+    that are maximal among those avoiding some tuple x.  They have the
+    same polymorphisms as all of them: every invariant R but the full
+    relation is the intersection, over x outside R, of a kept invariant
+    containing R and avoiding x, and Pol(R & S) contains Pol(R) & Pol(S)."""
+    largest_first = sorted(masks, key=int.bit_count, reverse=True)
     kept: set[int] = set()
-    for x in range(invariants.domain.size**arity):
+    for x in range(size):
         maximal: list[int] = []
         for mask in largest_first:
             if not mask >> x & 1:
@@ -284,7 +306,7 @@ def _maximal_invariants(invariants: RelationSet, arity: int) -> tuple[Relation, 
                 else:
                     maximal.append(mask)
         kept.update(maximal)
-    return tuple(by_mask[mask] for mask in kept)
+    return sorted(kept)
 
 
 @dataclass(frozen=True)
@@ -338,9 +360,9 @@ def galois_check(
     invariant_count = 0
     kept: list[Relation] = []
     for k in range(1, max_k + 1):
-        invariants = inv(generators, k, limits=limits)
-        invariant_count += len(invariants)
-        kept.extend(_maximal_invariants(invariants, k))
+        masks = _invariant_masks(generators, k, limits)
+        invariant_count += len(masks)
+        kept.extend(_relations(domain, k, _maximal_invariants(masks, domain.size**k)))
     recovered = pol(RelationSet(domain, tuple(kept)), arity, limits=limits)
     clone_tables = {op.table for op in clone_n}
     recovered_tables = {op.table for op in recovered}

@@ -44,6 +44,8 @@ OR = op((0, 1, 1, 1), name="OR")
 XOR = op((0, 1, 1, 0), name="XOR")
 NOT = op((1, 0), name="NOT")
 IDENT = op((0, 1), name="id")
+MAJ = op([int(a + b + c >= 2) for a in range(2) for b in range(2) for c in range(2)], name="MAJ")
+MINORITY = op([a ^ b ^ c for a in range(2) for b in range(2) for c in range(2)], name="minority")
 
 LEQ = rel([(0, 0), (0, 1), (1, 1)], 2, name="leq")
 NEQ = rel([(0, 1), (1, 0)], 2, name="neq")

@@ -21,11 +21,14 @@ from helpers import (
     BOOL,
     EQ,
     LEQ,
+    MAJ,
+    MINORITY,
     NEQ,
     NOT,
     OR,
     THREE,
     XOR,
+    op,
     opset,
     oracle_inv,
     oracle_pol,
@@ -65,12 +68,32 @@ def test_inv_members_are_actually_invariant():
 
 def test_inv_matches_filtering_oracle():
     rng = random.Random(47)
+    cases = []
     for _ in range(8):
         ops = [random_operation(rng, BOOL, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-        for arity in (1, 2):
-            got = {r.tuples for r in inv(opset(ops), arity)}
-            want = {r.tuples for r in oracle_inv(ops, arity, BOOL)}
-            assert got == want
+        cases += [(BOOL, ops, 1), (BOOL, ops, 2)]
+    cases.append((BOOL, [AND, NOT], 3))
+    cases.append((BOOL, [op((1,), arity=0), AND], 2))  # the constant 1 must sit in every invariant
+    cases += [(BOOL, [f], k) for f in (MAJ, MINORITY) for k in (1, 2, 3)]
+    cases += [(BOOL, [], k) for k in (1, 2, 3)]
+    # the dual discriminator is not symmetric: every position of the new row counts
+    dual_discriminator = op([x if x == y else z for x, y, z in THREE.tuples(3)], domain=THREE)
+    max_neg = [op([max(t) for t in THREE.tuples(3)], domain=THREE), op((2, 1, 0), domain=THREE)]
+    cases += [(THREE, ops, k) for ops in ([dual_discriminator], max_neg) for k in (1, 2)]
+    for domain, ops, arity in cases:
+        got = {r.tuples for r in inv(opset(ops, domain), arity)}
+        want = {r.tuples for r in oracle_inv(ops, arity, domain)}
+        assert got == want
+
+
+def test_inv_counts_in_closed_form():
+    for k in range(1, 5):
+        # twice the Moore families on a k-set: with or without the empty relation
+        assert len(inv(opset([AND]), k)) == (4, 14, 122, 4960)[k - 1]
+        assert len(inv(opset([NOT]), k)) == 2 ** 2 ** (k - 1)
+        # the empty relation plus every subspace of GF(2)^k
+        assert len(inv(opset([XOR]), k)) == 1 + (2, 5, 16, 67)[k - 1]
+        assert len(inv(opset([]), k)) == 2 ** 2**k
 
 
 def test_inv_arity_zero_needs_flag():
@@ -136,12 +159,15 @@ def test_maximal_invariants_have_the_same_polymorphisms():
     for gens, k, arities in cases:
         domain = gens[0].domain if gens else BOOL
         invariants = inv(opset(gens, domain), k)
-        kept = _maximal_invariants(invariants, k)
-        assert all(r in invariants for r in kept)
+        masks = [sum(1 << domain.tuple_index(t) for t in r) for r in invariants]
+        kept = set(_maximal_invariants(masks, domain.size**k))
+        assert kept <= set(masks)
+        kept_rels = relation_set([r for r, m in zip(invariants, masks) if m in kept], domain)
         for arity in arities:
-            assert pol(relation_set(kept, domain), arity) == pol(invariants, arity)
+            assert pol(kept_rels, arity) == pol(invariants, arity)
     # with no generators every relation is invariant: the maximal ones miss one tuple each
-    assert sorted(len(r) for r in _maximal_invariants(inv(opset([]), 3), 3)) == [7] * 8
+    every = [sum(1 << BOOL.tuple_index(t) for t in r) for r in inv(opset([]), 3)]
+    assert sorted(m.bit_count() for m in _maximal_invariants(every, 8)) == [7] * 8
 
 
 def test_pol_table_cap():
