@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .clones import OperationSet, clone_closure
-from .core import Domain, Operation, Relation
+from .core import Domain, Operation, Relation, lookup_table, row_images
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -91,36 +91,28 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
         )
     _guard_enumeration(2**size, f"inv at arity {arity}", limits)
     tuples = list(domain.tuples(arity))
-
-    def image(f: Operation, rows: Sequence[int]) -> int:
-        out = 0
-        for j in range(arity):
-            cell = 0
-            for r in rows:
-                cell = cell * d + tuples[r][j]
-            out = out * d + f.table[cell]
-        return 1 << out
+    rank = {t: i for i, t in enumerate(tuples)}
 
     # root is the image of the empty set (the nullary constants); pair[t][b]
     # is the image of the unary and binary row combinations over {t, b}
     # that use both t and b, with b == t allowed
     root = 0
     pair = [[0] * size for _ in range(size)]
-    wide: list[Operation] = []
+    wide: list[tuple[int, dict[tuple[int, ...], int]]] = []
     for f in ops:
-        if f.arity == 0:
-            root |= image(f, ())
-        elif f.arity == 1:
-            for t in range(size):
-                pair[t][t] |= image(f, (t,))
-        elif f.arity == 2:
-            for t in range(size):
-                for b in range(size):
-                    bit = image(f, (t, b))
-                    pair[t][b] |= bit
-                    pair[b][t] |= bit
-        else:
-            wide.append(f)
+        lookup = lookup_table(f.table, d, f.arity)
+        if f.arity > 2:
+            wide.append((f.arity, lookup))
+            continue
+        images = row_images(lookup, product(tuples, repeat=f.arity), arity)
+        for ranks, image in zip(product(range(size), repeat=f.arity), images):
+            bit = 1 << rank[image]
+            if ranks:
+                t, b = ranks[0], ranks[-1]
+                pair[t][b] |= bit
+                pair[b][t] |= bit
+            else:
+                root |= bit
 
     found: list[int] = []
     path: list[int] = []
@@ -137,12 +129,17 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
             for b in path:
                 new |= row[b]
             if wide:
-                rows = path + [t]
-                for f in wide:
-                    # row combinations from rows whose first t sits at i
-                    for i in range(f.arity):
-                        for combo in product(*[path] * i, [t], *[rows] * (f.arity - 1 - i)):
-                            new |= image(f, combo)
+                held = [tuples[b] for b in path]
+                added = [tuples[t]]
+                rows = held + added
+                produced: set[tuple[int, ...]] = set()
+                for m, lookup in wide:
+                    # row combinations from rows whose first new row sits at i
+                    for i in range(m):
+                        combos = product(*[held] * i, added, *[rows] * (m - 1 - i))
+                        produced.update(row_images(lookup, combos, arity))
+                for image in produced:
+                    new |= 1 << rank[image]
             if new & ~grown & ((2 << t) - 1):
                 continue
             path.append(t)
@@ -210,17 +207,12 @@ def pol(
         )
     _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
     _guard_enumeration(sum(len(r) ** arity for r in rels), f"pol constraints at arity {arity}", limits)
+    cell_of = lookup_table(range(cells), d, arity)
     constraints: list[tuple[set[tuple[int, ...]], dict[int, list[tuple[int, ...]]]]] = []
     for r in rels:
         by_trigger: dict[int, list[tuple[int, ...]]] = {}
-        for combo in product(r.tuples, repeat=arity):
-            vec = []
-            for j in range(r.arity):
-                cell = 0
-                for t in combo:
-                    cell = cell * d + t[j]
-                vec.append(cell)
-            by_trigger.setdefault(max(vec, default=0), []).append(tuple(vec))
+        for vec in row_images(cell_of, product(r.tuples, repeat=arity), r.arity):
+            by_trigger.setdefault(max(vec, default=0), []).append(vec)
         constraints.append((set(r.tuples), by_trigger))
 
     table = [0] * cells
@@ -264,24 +256,15 @@ def invariant_closure(
             raise ValueError(f"seed {t} has length {len(t)}, expected arity {arity}")
         current.add(t)
     Relation(domain, arity, tuple(current))  # validates entry ranges
+    lookups = [(f.arity, lookup_table(f.table, domain.size, f.arity)) for f in ops]
     while True:
-        combos = sum(len(current) ** f.arity for f in ops)
+        combos = sum(len(current) ** m for m, _ in lookups)
         _guard_enumeration(combos, "invariant closure round", limits)
         snapshot = sorted(current)
         fresh: set[tuple[int, ...]] = set()
-        for f in ops:
-            d = domain.size
-            table = f.table
-            for combo in product(snapshot, repeat=f.arity):
-                out = []
-                for j in range(arity):
-                    cell = 0
-                    for t in combo:
-                        cell = cell * d + t[j]
-                    out.append(table[cell])
-                tout = tuple(out)
-                if tout not in current:
-                    fresh.add(tout)
+        for m, lookup in lookups:
+            fresh.update(row_images(lookup, product(snapshot, repeat=m), arity))
+        fresh -= current
         if not fresh:
             return Relation(domain, arity, tuple(current))
         current |= fresh

@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import Domain, Operation, Partition, Relation, kernel_partition, preserves
 from .errors import ParseError, ResourceBoundError
@@ -169,7 +169,13 @@ def check_finitary_preservation(
     op: Operation, ideal: PartitionIdeal, *, limits: Limits = DEFAULT_LIMITS
 ) -> bool:
     """Whether op preserves the ideal's diagonal relation over op's domain."""
-    return preserves(op, diagonal_relation(ideal, op.domain, limits=limits))
+    diag = diagonal_relation(ideal, op.domain, limits=limits)
+    combos = len(diag) ** op.arity
+    if combos > limits.max_candidates:
+        raise ResourceBoundError(
+            f"finitary preservation check needs {combos} row combinations, cap is {limits.max_candidates}"
+        )
+    return preserves(op, diag)
 
 
 def parse_partition(text: str, index_size: int) -> Partition:

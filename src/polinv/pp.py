@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import Union
 
-from .core import Domain, Operation, Relation
+from .core import Domain, Relation, lookup_table, row_images
 from .errors import ParseError
 from .galois import RelationSet, pol
 from .limits import DEFAULT_LIMITS, Limits
@@ -368,18 +367,11 @@ def pp_closure_of(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LI
         raise ValueError("relation and environment over different domains")
     t = len(r)
     ops = pol(rels, t, include_nullary=True, limits=limits)
-    rows = r.tuples
-    out = set(rows)
+    cell_of = lookup_table(range(r.domain.size**t), r.domain.size, t)
+    (cells,) = row_images(cell_of, [r.tuples], r.arity)
+    out = set(r.tuples)
     for f in ops:
-        table = f.table
-        d = r.domain.size
-        image = []
-        for j in range(r.arity):
-            cell = 0
-            for row in rows:
-                cell = cell * d + row[j]
-            image.append(table[cell])
-        out.add(tuple(image))
+        out.add(tuple(f.table[c] for c in cells))
     return Relation(r.domain, r.arity, tuple(out), name=r.name)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polinv import Domain, Operation, Partition, Relation, compose, kernel_partition, make_projection, preserves
+from polinv.core import lookup_table, row_images
 
 from helpers import AND, BOOL, EQ, IDENT, LEQ, NEQ, NOT, OR, THREE, oracle_compose, oracle_preserves, random_operation, random_relation
 
@@ -179,6 +180,36 @@ def test_preserves_matches_unrolled_oracle():
             f = random_operation(rng, domain, rng.randint(0, 2))
             r = random_relation(rng, domain, rng.randint(1, 2))
             assert preserves(f, r) == oracle_preserves(f, r)
+        for _ in range(40):
+            m = rng.randint(0, 3)
+            f = random_operation(rng, domain, m)
+            # ternary operations meet ternary relations on d=2 only, to keep the oracle quick
+            r = random_relation(rng, domain, rng.randint(1, 3 if domain is BOOL or m < 3 else 2))
+            assert preserves(f, r) == oracle_preserves(f, r)
+    # arity-0 relations under operations of every arity up to 3
+    for r in (Relation.empty(BOOL, 0), Relation(BOOL, 0, ((),))):
+        for m in range(4):
+            for _ in range(3):
+                f = random_operation(rng, BOOL, m)
+                assert preserves(f, r) == oracle_preserves(f, r)
+
+
+def test_row_images_match_pointwise_apply():
+    rng = random.Random(29)
+    for domain in (BOOL, THREE):
+        d = domain.size
+        for n in range(4):
+            f = random_operation(rng, domain, n)
+            values = lookup_table(f.table, d, n)
+            cells = lookup_table(range(d**n), d, n)
+            for width in range(4):
+                rows = list(domain.tuples(width))
+                combos = [tuple(rng.choice(rows) for _ in range(n)) for _ in range(20)]
+                columns = [[[row[j] for row in combo] for j in range(width)] for combo in combos]
+                want = [tuple(f.apply(col) for col in cols) for cols in columns]
+                assert list(row_images(values, combos, width)) == want
+                want = [tuple(domain.tuple_index(col) for col in cols) for cols in columns]
+                assert list(row_images(cells, combos, width)) == want
 
 
 def test_kernel_partition_examples():

@@ -80,6 +80,10 @@ def test_inv_matches_filtering_oracle():
     dual_discriminator = op([x if x == y else z for x, y, z in THREE.tuples(3)], domain=THREE)
     max_neg = [op([max(t) for t in THREE.tuples(3)], domain=THREE), op((2, 1, 0), domain=THREE)]
     cases += [(THREE, ops, k) for ops in ([dual_discriminator], max_neg) for k in (1, 2)]
+    # x - y and max(x - y, 0) do not commute: both orders of two rows count
+    minus = op([(x - y) % 3 for x, y in THREE.tuples(2)], domain=THREE)
+    monus = op([max(x - y, 0) for x, y in THREE.tuples(2)], domain=THREE)
+    cases += [(THREE, [f], k) for f in (minus, monus) for k in (1, 2)]
     for domain, ops, arity in cases:
         got = {r.tuples for r in inv(opset(ops, domain), arity)}
         want = {r.tuples for r in oracle_inv(ops, arity, domain)}
@@ -224,7 +228,7 @@ def test_invariant_closure_is_least_closed_superset():
     rng = random.Random(71)
     universe = list(BOOL.tuples(2))
     for _ in range(12):
-        ops = [random_operation(rng, BOOL, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+        ops = [random_operation(rng, BOOL, rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
         seeds = rng.sample(universe, rng.randint(1, 3))
         got = set(invariant_closure(opset(ops), seeds, 2).tuples)
         closed_supersets = []

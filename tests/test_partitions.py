@@ -179,6 +179,15 @@ def test_every_boolean_operation_preserves_every_diagonal():
             assert check_finitary_preservation(op, ideal)
 
 
+def test_finitary_preservation_cap_counts_row_combinations():
+    ideal = ideal_downset([P01_2], 3)  # its diagonal on d=2 has 4 tuples
+    tight = Limits(max_candidates=15)
+    with pytest.raises(ResourceBoundError, match="finitary preservation check needs 16 row combinations"):
+        check_finitary_preservation(AND, ideal, limits=tight)
+    assert check_finitary_preservation(NOT, ideal, limits=tight)
+    assert check_finitary_preservation(AND, ideal, limits=Limits(max_candidates=16))
+
+
 def test_image_kernel_coarsens_the_row_meet():
     # the structural fact behind diagonal invariance
     rng = random.Random(109)
