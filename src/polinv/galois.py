@@ -321,13 +321,14 @@ def galois_check(
     max_k: int | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> GaloisReport:
-    """Close the generators at the given arity, collect every relation of
-    arity 1..max_k they preserve, and recover the arity-n polymorphisms of
-    that relation set.  Passes when recovery returns exactly the closure's
-    n-ary members.  max_k defaults to d^n, which always suffices: the
-    relation whose tuples are the value tables of the n-ary members is
-    itself invariant and separates everything outside the clone.  pol gets
-    only the maximal invariants, which suffice (see _maximal_invariants)."""
+    """Close the generators at the given arity (or at their own largest
+    arity, if higher), collect every relation of arity 1..max_k they
+    preserve, and recover the arity-n polymorphisms of that relation set.
+    Passes when recovery returns exactly the closure's n-ary members.
+    max_k defaults to d^n, which always suffices: the relation whose tuples
+    are the value tables of the n-ary members is itself invariant and
+    separates everything outside the clone.  pol gets only the maximal
+    invariants, which suffice (see _maximal_invariants)."""
     domain = generators.domain
     if arity < 1:
         raise ValueError(f"arity must be at least 1, got {arity}")
@@ -336,7 +337,8 @@ def galois_check(
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
     include_nullary = any(op.arity == 0 for op in generators)
-    closure = clone_closure(generators, arity, include_nullary=include_nullary, limits=limits)
+    closure_arity = max(arity, generators.max_arity())
+    closure = clone_closure(generators, closure_arity, include_nullary=include_nullary, limits=limits)
     clone_n = OperationSet(domain, closure.arity_members(arity))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.

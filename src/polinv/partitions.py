@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from typing import Iterable, Iterator
 
 from .core import Domain, Operation, Partition, Relation, kernel_partition, preserves
@@ -62,9 +63,10 @@ class PartitionIdeal:
     """A nonempty set of partitions closed under coarsening and under
     pairwise common refinement (an ideal in reverse-refinement order).
 
-    Construction re-verifies all three closure properties against the
-    full lattice, so a PartitionIdeal value is always a genuine ideal.
-    The one-block partition is always a member.
+    Every such ideal is principal: it is exactly the set of coarsenings
+    of its finest member, the common refinement of all its members.
+    Construction verifies that, so a PartitionIdeal value is always a
+    genuine ideal.  The one-block partition is always a member.
     """
 
     index_size: int
@@ -78,15 +80,16 @@ class PartitionIdeal:
         for p in canon:
             if p.index_size != self.index_size:
                 raise ValueError("ideal members over different index sets")
-        have = set(canon)
-        for p, q in combinations(canon, 2):
-            if p.meet(q) not in have:
-                raise ValueError(
-                    f"not closed under common refinement: meet of {p.blocks} and {q.blocks} missing"
-                )
-        for p in all_partitions(self.index_size):
-            if p not in have and any(q.refines(p) for q in canon):
-                raise ValueError(f"not closed under coarsening: {p.blocks} missing")
+        # Every member coarsens the common refinement, whose coarsenings
+        # correspond one to one to the partitions of its blocks; the set
+        # is an ideal iff it holds all of them, that is iff the counts agree.
+        finest = reduce(Partition.meet, canon)
+        coarsenings = sum(1 for _ in all_partitions(len(finest.blocks)))
+        if len(canon) != coarsenings:
+            raise ValueError(
+                f"not an ideal: {len(canon)} members, but their common refinement "
+                f"{finest.blocks} has {coarsenings} coarsenings"
+            )
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.members)
@@ -105,28 +108,16 @@ def ideal_downset(
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> PartitionIdeal:
-    """Least ideal containing the generators: close under pairwise common
-    refinement and under coarsening, to a fixpoint.  With no generators
-    this is the one-element ideal of the one-block partition."""
+    """Least ideal containing the generators: the coarsenings of the
+    generators' common refinement.  With no generators this is the
+    one-element ideal of the one-block partition."""
     lattice = partition_lattice(index_size, limits=limits)
-    members = {Partition.top(index_size)}
+    finest = Partition.top(index_size)
     for p in generators:
         if p.index_size != index_size:
             raise ValueError(f"generator over index set of size {p.index_size}, expected {index_size}")
-        members.add(p)
-    changed = True
-    while changed:
-        changed = False
-        for p, q in combinations(tuple(members), 2):
-            m = p.meet(q)
-            if m not in members:
-                members.add(m)
-                changed = True
-        for p in lattice:
-            if p not in members and any(q.refines(p) for q in members):
-                members.add(p)
-                changed = True
-    return PartitionIdeal(index_size, tuple(members))
+        finest = finest.meet(p)
+    return PartitionIdeal(index_size, tuple(p for p in lattice if finest.refines(p)))
 
 
 @dataclass(frozen=True)

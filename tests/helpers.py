@@ -9,17 +9,19 @@ different computations.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from polinv import (
     Domain,
     Operation,
     OperationSet,
+    Partition,
     PPFormula,
     Relation,
     RelationSet,
     EqualityAtom,
     RelationAtom,
+    all_partitions,
 )
 
 BOOL = Domain(2)
@@ -164,6 +166,41 @@ def oracle_partitions(index_size):
             grown.append([list(b) for b in blocks] + [[i]])
         parts = grown
     return {frozenset(frozenset(b) for b in blocks) for blocks in parts}
+
+
+def oracle_ideal_downset(generators, index_size):
+    """Least ideal containing the generators as a set of partitions:
+    add pairwise common refinements and coarsenings until nothing new
+    appears."""
+    lattice = list(all_partitions(index_size))
+    members = {Partition.top(index_size), *generators}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in combinations(tuple(members), 2):
+            m = p.meet(q)
+            if m not in members:
+                members.add(m)
+                changed = True
+        for p in lattice:
+            if p not in members and any(q.refines(p) for q in members):
+                members.add(p)
+                changed = True
+    return members
+
+
+def oracle_is_ideal(members, index_size):
+    """Whether the partitions form an ideal, from the definition: nonempty,
+    over the one index set, closed under every pairwise common refinement
+    and under coarsening against the whole lattice."""
+    have = set(members)
+    if not have or any(p.index_size != index_size for p in have):
+        return False
+    if any(p.meet(q) not in have for p, q in combinations(have, 2)):
+        return False
+    return not any(
+        p not in have and any(q.refines(p) for q in have) for p in all_partitions(index_size)
+    )
 
 
 def random_operation(rng, domain, arity, name=""):

@@ -74,13 +74,17 @@ def generator_subsets():
 
 def test_criterion_1_round_trip_recovers_every_generated_clone():
     with criterion(1, "bounded round trip recovers each of the 16 generated clones"):
-        closures = set()
+        closures = {1: set(), 2: set()}
         for gens in generator_subsets():
-            report = galois_check(opset(gens), 2)
-            assert report.passed, f"round trip failed for {[g.name for g in gens]}"
-            assert report.max_k == 4
-            closures.add(frozenset((f.arity, f.table) for f in report.clone_ops))
-        assert len(closures) == 9  # distinct binary slices among the 16 subsets
+            for arity in (1, 2):
+                report = galois_check(opset(gens), arity)
+                assert report.passed, f"round trip failed for {[g.name for g in gens]} at arity {arity}"
+                assert report.max_k == 2**arity
+                closures[arity].add(frozenset((f.arity, f.table) for f in report.clone_ops))
+        # distinct slices among the 16 subsets; the unary ones are
+        # {id}, {id, NOT}, {id, 0} and all four unary operations
+        assert len(closures[1]) == 4
+        assert len(closures[2]) == 9
 
 
 def test_criterion_2_graph_relation_separates_membership():

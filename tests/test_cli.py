@@ -179,7 +179,10 @@ def test_quiet_drops_only_the_summary():
 
 def test_runs_are_deterministic():
     args = ["check", "--ops", BOOL_OPS, "--arity", "1"]
-    assert run(args) == run(args)
+    first = run(args)
+    assert first[0] == 0
+    assert "PASS" in first[1].splitlines()
+    assert run(args) == first
 
 
 def test_missing_file_is_exit_2():

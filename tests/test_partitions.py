@@ -21,7 +21,17 @@ from polinv import (
 )
 from polinv.limits import Limits
 
-from helpers import AND, BOOL, NOT, OR, THREE, XOR, oracle_partitions
+from helpers import (
+    AND,
+    BOOL,
+    NOT,
+    OR,
+    THREE,
+    XOR,
+    oracle_ideal_downset,
+    oracle_is_ideal,
+    oracle_partitions,
+)
 
 P01_2 = Partition(3, ((0, 1), (2,)))
 P0_12 = Partition(3, ((0,), (1, 2)))
@@ -122,6 +132,50 @@ def test_ideals_are_principal():
             assert ideal == ideal_downset([m], 3)
             seen.add(ideal.members)
     assert len(seen) == 5
+
+
+def test_ideal_downset_matches_fixpoint_oracle():
+    for k in range(1, 4):
+        lattice = partition_lattice(k)
+        for n in range(4):
+            for gens in combinations(lattice, n):
+                assert set(ideal_downset(gens, k)) == oracle_ideal_downset(gens, k)
+    rng = random.Random(5)
+    # fewer at κ=6: the fixpoint oracle is slow on its 203-member ideal
+    for k, count in ((4, 40), (5, 25), (6, 8)):
+        lattice = partition_lattice(k)
+        for _ in range(count):
+            gens = rng.sample(lattice, rng.randint(1, 3))
+            assert set(ideal_downset(gens, k)) == oracle_ideal_downset(gens, k)
+
+
+def accepts(k, members):
+    try:
+        PartitionIdeal(k, members)
+    except ValueError:
+        return False
+    return True
+
+
+def test_ideal_check_matches_definition_oracle():
+    lattice = partition_lattice(3)
+    for n in range(1, len(lattice) + 1):
+        for members in combinations(lattice, n):
+            assert accepts(3, members) == oracle_is_ideal(members, 3)
+    lattice = partition_lattice(4)
+    rng = random.Random(11)
+    for _ in range(200):
+        members = rng.sample(lattice, rng.randint(1, len(lattice)))
+        assert accepts(4, members) == oracle_is_ideal(members, 4)
+    # every ideal is the downset of its finest member, so these are all of
+    # them; dropping or adding one partition gives the near misses
+    for finest in lattice:
+        ideal = oracle_ideal_downset([finest], 4)
+        assert accepts(4, ideal) and oracle_is_ideal(ideal, 4)
+        for p in lattice:
+            members = ideal ^ {p}
+            if members:
+                assert accepts(4, members) == oracle_is_ideal(members, 4)
 
 
 def test_diagonal_of_trivial_ideal_is_plain_diagonal():
