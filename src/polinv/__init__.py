@@ -28,7 +28,6 @@ from .errors import ParseError, PolinvError, ResourceBoundError
 from .galois import GaloisReport, RelationSet, galois_check, inv, invariant_closure, pol
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
-    DiagonalRelation,
     PartitionIdeal,
     all_partitions,
     check_finitary_preservation,
@@ -47,6 +46,7 @@ from .pp import (
     parse_pp,
     parse_pp_file,
     pp_closure_of,
+    pp_witness,
 )
 from .workspace import Workspace, load_workspace
 
@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_LIMITS",
-    "DiagonalRelation",
     "Domain",
     "EqualityAtom",
     "EssentialSet",
@@ -96,5 +95,6 @@ __all__ = [
     "partition_lattice",
     "pol",
     "pp_closure_of",
+    "pp_witness",
     "preserves",
 ]

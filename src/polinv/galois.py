@@ -4,7 +4,9 @@ inv enumerates every relation of a given arity preserved by all given
 operations (depth-first search over tuple sets in rank order, pruned as
 soon as the set's image holds a tuple it can no longer gain); pol
 enumerates every operation of a given arity preserving all given
-relations (depth-first table construction with forward pruning).
+relations (depth-first table construction with forward pruning), and
+the same backtracker, with some cells pinned and a first-solution stop,
+decides pp-definability.
 invariant_closure generates the least invariant superset of a seed
 tuple set; galois_check checks that pol recovers a generated clone from
 its maximal invariants.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .clones import OperationSet, clone_closure
 from .core import Domain, Operation, Relation, lookup_table, row_images
@@ -178,6 +180,67 @@ def inv(
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
 
 
+def _table_search(
+    rels: RelationSet, arity: int, limits: Limits
+) -> Callable[[dict[int, int], bool], list[tuple[int, ...]]]:
+    """The backtracker behind pol and pp-definability.  Applies pol's caps
+    and builds the constraints of rels at the given arity once, and
+    returns search(pins, first): every table preserving rels whose cell c
+    holds pins[c] for each pinned c, ascending, or just the first one when
+    first is set.
+
+    Depth-first assignment of table cells in lexicographic order: a
+    partial table is rejected as soon as some row combination whose
+    output cells are all assigned lands outside its relation.  Each
+    combination is checked once, at the node assigning its highest cell.
+    A pinned cell's only value choice is its pin, so pins prune without
+    any per-node test.
+    """
+    d = rels.domain.size
+    cells = d**arity
+    if cells > limits.max_materialize:
+        raise ResourceBoundError(
+            f"tables of arity {arity} hold {cells} entries, "
+            f"materialization cap is {limits.max_materialize}"
+        )
+    _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
+    _guard_enumeration(sum(len(r) ** arity for r in rels), f"pol constraints at arity {arity}", limits)
+    cell_of = lookup_table(range(cells), d, arity)
+    # checks[c] pairs each row combination whose highest output cell is c,
+    # as the cells it reads, with the tuple set its image must land in
+    checks: list[list[tuple[set[tuple[int, ...]], tuple[int, ...]]]] = [[] for _ in range(cells)]
+    for r in rels:
+        tset = set(r.tuples)
+        for vec in row_images(cell_of, product(r.tuples, repeat=arity), r.arity):
+            checks[max(vec, default=0)].append((tset, vec))
+
+    def search(pins: dict[int, int], first: bool) -> list[tuple[int, ...]]:
+        choices = [(pins[c],) if c in pins else range(d) for c in range(cells)]
+        table = [0] * cells
+        get = table.__getitem__
+        found: list[tuple[int, ...]] = []
+
+        def extend(c: int) -> bool:
+            for v in choices[c]:
+                table[c] = v
+                for tset, vec in checks[c]:
+                    if tuple(map(get, vec)) not in tset:
+                        break
+                else:
+                    if c + 1 == cells:
+                        found.append(tuple(table))
+                        if first:
+                            return True
+                    elif extend(c + 1):
+                        return True
+            return False
+
+        extend(0)
+        return found
+
+    return search
+
+
 def pol(
     rels: RelationSet,
     arity: int,
@@ -188,55 +251,17 @@ def pol(
     """Every operation of the given arity preserving all members of rels,
     tables ascending; an empty rels set yields every table.
 
-    Depth-first assignment of table cells in lexicographic order: a
-    partial table is rejected as soon as some row combination whose
-    output cells are all assigned lands outside its relation.  Each
-    combination is checked once, at the node assigning its highest cell.
+    Runs the shared table backtracker (see _table_search) with no pins and
+    no stop; pp_closure_of and pp_witness run it pinned, one search per
+    candidate tuple.
     """
     if arity < 0:
         raise ValueError(f"arity must be nonnegative, got {arity}")
     if arity == 0 and not include_nullary:
         raise ValueError("operation arity 0 requires include_nullary")
     domain = rels.domain
-    d = domain.size
-    cells = d**arity
-    if cells > limits.max_materialize:
-        raise ResourceBoundError(
-            f"tables of arity {arity} hold {cells} entries, "
-            f"materialization cap is {limits.max_materialize}"
-        )
-    _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
-    _guard_enumeration(sum(len(r) ** arity for r in rels), f"pol constraints at arity {arity}", limits)
-    cell_of = lookup_table(range(cells), d, arity)
-    constraints: list[tuple[set[tuple[int, ...]], dict[int, list[tuple[int, ...]]]]] = []
-    for r in rels:
-        by_trigger: dict[int, list[tuple[int, ...]]] = {}
-        for vec in row_images(cell_of, product(r.tuples, repeat=arity), r.arity):
-            by_trigger.setdefault(max(vec, default=0), []).append(vec)
-        constraints.append((set(r.tuples), by_trigger))
-
-    table = [0] * cells
-    found: list[Operation] = []
-
-    def extend(c: int) -> None:
-        for v in range(d):
-            table[c] = v
-            ok = True
-            for tset, by_trigger in constraints:
-                for vec in by_trigger.get(c, ()):
-                    if tuple(table[x] for x in vec) not in tset:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                if c + 1 == cells:
-                    found.append(Operation(domain, arity, tuple(table)))
-                else:
-                    extend(c + 1)
-
-    extend(0)
-    return OperationSet(domain, tuple(found))
+    tables = _table_search(rels, arity, limits)({}, False)
+    return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
 
 
 def invariant_closure(

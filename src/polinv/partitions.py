@@ -120,27 +120,6 @@ def ideal_downset(
     return PartitionIdeal(index_size, tuple(p for p in lattice if finest.refines(p)))
 
 
-@dataclass(frozen=True)
-class DiagonalRelation:
-    """A diagonal relation bundled with the ideal that generated it."""
-
-    relation: Relation
-    ideal: PartitionIdeal
-
-    def __post_init__(self) -> None:
-        if self.relation.arity != self.ideal.index_size:
-            raise ValueError("relation arity does not match the ideal's index set")
-        expected = diagonal_relation(self.ideal, self.relation.domain)
-        if self.relation != expected:
-            raise ValueError("relation tuples do not match the ideal's kernel filter")
-
-    @classmethod
-    def build(
-        cls, ideal: PartitionIdeal, domain: Domain, *, limits: Limits = DEFAULT_LIMITS
-    ) -> "DiagonalRelation":
-        return cls(diagonal_relation(ideal, domain, limits=limits), ideal)
-
-
 def diagonal_relation(
     ideal: PartitionIdeal, domain: Domain, *, limits: Limits = DEFAULT_LIMITS
 ) -> Relation:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from itertools import product
+from typing import Iterator, Union
 
-from .core import Domain, Relation, lookup_table, row_images
+from .core import Domain, Operation, Relation, lookup_table, row_images
 from .errors import ParseError
-from .galois import RelationSet, pol
+from .galois import RelationSet, _table_search
 from .limits import DEFAULT_LIMITS, Limits
 
 _KEYWORDS = frozenset({"def", "exists", "true"})
@@ -353,28 +354,63 @@ def eval_pp(formula: PPFormula, env: RelationSet, domain: Domain) -> Relation:
     return Relation(domain, formula.arity, tuple(tuples), name=formula.name)
 
 
+def _reachable(
+    r: Relation, rels: RelationSet, limits: Limits
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each tuple x outside r that some len(r)-ary polymorphism of rels
+    maps r's columns to, with the first such table found.
+
+    One pinned, first-solution run of pol's backtracker per x: the cells
+    indexed by r's columns are pinned to the entries of x (for an empty r
+    the one nullary cell is pinned, so x ranges over the constant tuples).
+    """
+    if r.domain != rels.domain:
+        raise ValueError("relation and environment over different domains")
+    d = r.domain.size
+    t = len(r)
+    search = _table_search(rels, t, limits)
+    (cells,) = row_images(lookup_table(range(d**t), d, t), [r.tuples], r.arity)
+    # x is fixed by its values on the distinct cells, so equal columns
+    # take one value and no x with conflicting pins is ever tried
+    pinned = sorted(set(cells))
+    members = set(r.tuples)
+    for values in product(range(d), repeat=len(pinned)):
+        pins = dict(zip(pinned, values))
+        x = tuple(pins[c] for c in cells)
+        if x not in members:
+            for table in search(pins, True):
+                yield x, table
+
+
 def pp_closure_of(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LIMITS) -> Relation:
     """Least relation of r's arity containing r and invariant under every
     operation preserving all of rels.
 
-    Computed as the row-wise image of r's tuples under pol(rels, t) with
-    t = len(r): the t-ary preserving operations applied coordinatewise to
-    the t rows enumerate exactly the generated invariant superset.  An
-    empty r uses the arity-0 preserving operations, whose constant tuples
-    are forced into any invariant superset.
+    The t-ary polymorphisms (t = len(r)) applied coordinatewise to r's t
+    rows yield exactly this superset, so a tuple x outside r belongs to it
+    iff some polymorphism maps r's columns to x.  Each x is decided by one
+    early-exit search of pol's backtracker with r's column cells pinned to
+    x, rather than by listing all of pol(rels, t).  An empty r uses the
+    arity-0 polymorphisms, whose constant tuples are forced into any
+    invariant superset.
     """
-    if r.domain != rels.domain:
-        raise ValueError("relation and environment over different domains")
-    t = len(r)
-    ops = pol(rels, t, include_nullary=True, limits=limits)
-    cell_of = lookup_table(range(r.domain.size**t), r.domain.size, t)
-    (cells,) = row_images(cell_of, [r.tuples], r.arity)
     out = set(r.tuples)
-    for f in ops:
-        out.add(tuple(f.table[c] for c in cells))
+    out.update(x for x, _ in _reachable(r, rels, limits))
     return Relation(r.domain, r.arity, tuple(out), name=r.name)
 
 
+def pp_witness(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LIMITS) -> Operation | None:
+    """A len(r)-ary polymorphism of rels that does not preserve r, or None
+    when r is pp-definable from rels.  It maps r's rows to a tuple outside
+    r, so preserves() confirms it; for an empty r it is a nullary constant.
+    The search stops at the first tuple outside r that any polymorphism
+    reaches."""
+    for _, table in _reachable(r, rels, limits):
+        return Operation(r.domain, len(r), table)
+    return None
+
+
 def is_pp_definable(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """True iff r equals its own invariant closure over rels."""
-    return pp_closure_of(r, rels, limits=limits) == r
+    """True iff r equals its own invariant closure over rels, that is, iff
+    pp_witness finds no polymorphism of rels that breaks r."""
+    return pp_witness(r, rels, limits=limits) is None

@@ -22,6 +22,7 @@ from polinv import (
     EqualityAtom,
     RelationAtom,
     all_partitions,
+    pol,
 )
 
 BOOL = Domain(2)
@@ -153,6 +154,17 @@ def oracle_least_invariant_superset(r, rels):
     return Relation(domain, r.arity, tuple(least))
 
 
+def oracle_pp_closure_of(r, rels):
+    """Least invariant superset of r over rels, from the full list of
+    len(r)-ary polymorphisms (nullary for an empty r) applied to r's
+    columns.  pol itself is held to oracle_pol elsewhere."""
+    columns = [tuple(row[j] for row in r.tuples) for j in range(r.arity)]
+    out = set(r.tuples)
+    for f in pol(rels, len(r), include_nullary=True):
+        out.add(tuple(f.apply(col) for col in columns))
+    return Relation(r.domain, r.arity, tuple(out), name=r.name)
+
+
 def oracle_partitions(index_size):
     """Enumerate partitions by inserting one index at a time into an
     existing block or a fresh one (independent of the label-string
@@ -208,10 +220,11 @@ def random_operation(rng, domain, arity, name=""):
     return Operation(domain, arity, table, name=name)
 
 
-def random_relation(rng, domain, arity, name="", allow_empty=True):
+def random_relation(rng, domain, arity, name="", allow_empty=True, max_size=None):
     universe = list(domain.tuples(arity))
     low = 0 if allow_empty else 1
-    chosen = rng.sample(universe, rng.randint(low, len(universe)))
+    high = len(universe) if max_size is None else min(max_size, len(universe))
+    chosen = rng.sample(universe, rng.randint(low, high))
     return Relation(domain, arity, tuple(chosen), name=name)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, one printed verdict line each.
+"""Acceptance gate: ten end-to-end checks, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines
 as they complete.  Each criterion recomputes its expectations from
@@ -26,12 +26,14 @@ from polinv import (
     galois_check,
     graph_relation,
     ideal_downset,
+    inv,
     invariant_closure,
     is_pp_definable,
     pol,
     pp_closure_of,
     preserves,
 )
+from polinv.limits import Limits
 
 from helpers import (
     AND,
@@ -225,6 +227,9 @@ CLI_SUITE = (
     ["gamma", "--ops", str(DATA / "not.ops"), "--arity", "1"],
     ["ppeval", "--rels", str(DATA / "order.rel"), "--formula", str(DATA / "order.pp"), "--name", "comp"],
     ["ppdef", "--rels", str(DATA / "order.rel"), "--target", "neq"],
+    ["ppdef", "--rels", str(DATA / "eq4.rel"), "--target", "eq"],
+    ["ppdef", "--rels", str(DATA / "eq4.rel"), "--target", "odd"],
+    ["ppdef", "--rels", str(DATA / "eq4.rel"), "--target", "all"],
     ["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "2"],
     ["essential", "--ops", str(DATA / "bool.ops"), "--name", "XOR"],
     ["check", "--ops", str(DATA / "and.ops"), "--arity", "2"],
@@ -252,4 +257,24 @@ def test_criterion_9_cli_runs_are_byte_identical():
             outcomes.append(batch)
         assert outcomes[0] == outcomes[1] == outcomes[2]
         codes = [entry[1] for entry in outcomes[0]]
-        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2]
+        assert codes == [0] * 12 + [3, 2]
+
+
+def test_criterion_10_sheffer_invariants_are_the_diagonals():
+    with criterion(10, "a Sheffer operation's invariants are the empty relation and the Bell(k) diagonals"):
+        nand = Operation(BOOL, 2, (1, 1, 1, 0))
+        webb = Operation(THREE, 2, tuple((max(x, y) + 1) % 3 for x in range(3) for y in range(3)))
+        bell = {1: 1, 2: 2, 3: 5, 4: 15}
+        # inv's up-front cap counts 2^(3^3) candidate sets for d=3, kappa=3
+        runs = [(nand, k, Limits()) for k in (1, 2, 3, 4)]
+        runs += [(webb, 1, Limits()), (webb, 2, Limits()), (webb, 3, Limits(max_candidates=2**27))]
+        for f, kappa, limits in runs:
+            domain = f.domain
+            want = {frozenset()}
+            for blocks in oracle_partitions(kappa):
+                # the diagonal of a partition: the tuples constant on each block
+                diag = [t for t in domain.tuples(kappa) if all(len({t[i] for i in b}) == 1 for b in blocks)]
+                want.add(frozenset(diag))
+            assert len(want) == bell[kappa] + 1
+            got = {frozenset(r.tuples) for r in inv(opset([f], domain), kappa, limits=limits)}
+            assert got == want, (domain.size, kappa)

@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from polinv import (
-    DiagonalRelation,
     ParseError,
     Partition,
     PartitionIdeal,
@@ -212,16 +211,6 @@ def test_diagonal_monotone_in_the_ideal():
     small = ideal_downset([], 3)
     large = ideal_downset([P01_2], 3)
     assert set(diagonal_relation(small, BOOL).tuples) <= set(diagonal_relation(large, BOOL).tuples)
-
-
-def test_diagonal_bundle_checks_consistency():
-    ideal = ideal_downset([], 2)
-    bundle = DiagonalRelation.build(ideal, BOOL)
-    assert bundle.relation.tuples == ((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        DiagonalRelation(Relation.full(BOOL, 2), ideal)
-    with pytest.raises(ValueError):
-        DiagonalRelation(Relation.full(BOOL, 3), ideal)
 
 
 def test_every_boolean_operation_preserves_every_diagonal():

@@ -8,12 +8,14 @@ from polinv import (
     PPFormula,
     Relation,
     RelationAtom,
+    ResourceBoundError,
     eval_pp,
     is_pp_definable,
     parse_pp,
     parse_pp_file,
     pol,
     pp_closure_of,
+    pp_witness,
     preserves,
 )
 
@@ -25,6 +27,7 @@ from helpers import (
     NEQ,
     THREE,
     naive_eval_pp,
+    oracle_pp_closure_of,
     random_formula,
     random_relation,
     relation_set,
@@ -200,6 +203,10 @@ def test_pp_closure_of_empty_relation():
     # the diagonal; neq admits none, so nothing stays nothing
     assert pp_closure_of(empty, relation_set([LEQ])) == EQ
     assert pp_closure_of(empty, relation_set([NEQ])) == empty
+    # and the witness for leq is a nullary constant
+    witness = pp_witness(empty, relation_set([LEQ]))
+    assert witness.arity == 0 and preserves(witness, LEQ) and not preserves(witness, empty)
+    assert pp_witness(empty, relation_set([NEQ])) is None
 
 
 def test_pp_closure_laws():
@@ -230,6 +237,9 @@ def test_is_pp_definable_examples():
     # the binary meet witnesses the failure: it preserves leq but not neq
     assert AND in pol(relation_set([LEQ]), 2)
     assert not preserves(AND, NEQ)
+    witness = pp_witness(NEQ, relation_set([LEQ]))
+    assert witness.arity == 2 and preserves(witness, LEQ) and not preserves(witness, NEQ)
+    assert pp_witness(EQ, relation_set([LEQ])) is None
 
 
 def test_definable_witness_evaluates_to_target():
@@ -248,15 +258,49 @@ def test_every_environment_member_is_definable_from_it():
 
 def test_evaluated_formulas_are_definable():
     # anything a formula produces over the environment must be definable
-    # from it; definability checks need pol at arity len(r), so stay with
-    # small values
+    # from it; the search runs over tables of arity len(r), and the
+    # up-front d^(d^len(r)) candidate cap refuses more than 4 tuples on d=2
     rng = random.Random(107)
     checked = 0
     for _ in range(60):
         phi = random_formula(rng, BOOL, ENV_BY_NAME)
         value = eval_pp(phi, ENV, BOOL)
-        if len(value) > 3:
+        if len(value) > 4:
             continue
         checked += 1
         assert is_pp_definable(value, ENV)
     assert checked >= 10
+
+
+def test_pp_closure_and_witness_match_enumerate_all_oracle():
+    # the pinned early-exit search against the image of every polymorphism;
+    # each witness must preserve the environment and break the target
+    rng = random.Random(109)
+    cases = [(Relation.empty(BOOL, 2), relation_set([])), (EQ, relation_set([]))]
+    for domain, max_size, arities, count in ((BOOL, 4, (1, 2, 3), 60), (THREE, 2, (1, 2), 40)):
+        for _ in range(count):
+            env = [random_relation(rng, domain, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+            r = random_relation(rng, domain, rng.choice(arities), max_size=max_size)
+            if rng.random() < 0.3:
+                # two identical coordinates: x pins one cell to two values
+                # unless its entries there agree
+                j = rng.randrange(r.arity)
+                r = Relation(domain, r.arity + 1, tuple(t + (t[j],) for t in r.tuples))
+            cases.append((r, relation_set(env, domain)))
+    for r, env in cases:
+        closed = pp_closure_of(r, env)
+        assert closed == oracle_pp_closure_of(r, env)
+        witness = pp_witness(r, env)
+        assert is_pp_definable(r, env) == (witness is None) == (closed == r)
+        if witness is not None:
+            assert witness.arity == len(r)
+            assert all(preserves(witness, s) for s in env)
+            assert not preserves(witness, r)
+
+
+def test_definability_refuses_five_tuples_on_two_elements():
+    r = Relation(BOOL, 3, tuple(BOOL.tuples(3))[:5])
+    message = "pol at arity 5 needs 4294967296 candidates, cap is 10000000"
+    for decide in (pp_closure_of, pp_witness, is_pp_definable):
+        with pytest.raises(ResourceBoundError, match=message):
+            decide(r, relation_set([EQ]))
