@@ -252,3 +252,33 @@ def test_main_writes_streams(capsys):
     assert main(["pol", "--rels", "missing.rel", "--arity", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+GOLDEN = DATA / "golden"
+
+
+def test_diag_stdout_matches_golden_files():
+    # recorded from the kernel-filter implementation; any rebuild of ideals
+    # and diagonals must reproduce these bytes
+    cases = (
+        (["--kappa", "4", "--generators", "0,1|2|3 ; 0|1,2|3", "--domain", "3"], "diag_k4_d3.out"),
+        (["--kappa", "6", "--generators", "0|1|2|3|4|5", "--domain", "2"], "diag_k6_d2.out"),
+    )
+    for argv, name in cases:
+        code, out, err = run(["diag", *argv])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
+
+def test_diag_refusals_are_pinned():
+    expected = {
+        ("0", ""): (2, "error: index_size must be at least 1, got 0\n"),
+        ("-1", ""): (2, "error: index_size must be at least 1, got -1\n"),
+        ("7", ""): (3, "error: partition lattice on 7 indices exceeds cap 6\n"),
+        ("0", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got 0\n"),
+        ("-1", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got -1\n"),
+        ("7", "0|1"): (2, "error: bad partition '0|1': blocks do not cover the index set\n"),
+    }
+    for (kappa, generators), (code, err) in expected.items():
+        got = run(["diag", "--kappa", kappa, "--generators", generators, "--domain", "2"])
+        assert got == (code, "", err), (kappa, generators)

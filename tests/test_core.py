@@ -133,6 +133,34 @@ def test_relation_entry_bounds_checked():
         Relation(BOOL, -1, ())
 
 
+def test_relation_validation_messages():
+    def message(arity, tuples):
+        with pytest.raises(ValueError) as info:
+            Relation(BOOL, arity, tuples)
+        return str(info.value)
+
+    assert message(2, ((0, 1), (0,))) == "tuple (0,) has length 1, expected arity 2"
+    assert message(2, ((0, 2),)) == "tuple (0, 2) contains 2, not a domain element of size 2"
+    assert message(2, ((0, -1),)) == "tuple (0, -1) contains -1, not a domain element of size 2"
+    assert message(2, ((0, True),)) == "tuple (0, True) contains True, not a domain element of size 2"
+    assert message(2, ((0, 1.0),)) == "tuple (0, 1.0) contains 1.0, not a domain element of size 2"
+    assert message(-1, ()) == "arity must be a nonnegative integer, got -1"
+    # a bad value equal to a good one elsewhere (True == 1, 1.0 == 1) is still caught
+    assert message(2, ((0, 1), (True, 0))) == "tuple (True, 0) contains True, not a domain element of size 2"
+    assert message(2, ((0, 1), (1.0, 0))) == "tuple (1.0, 0) contains 1.0, not a domain element of size 2"
+    # the first bad tuple in canonical order is named, its length before its values
+    assert message(2, ((1, 7), (0, 5))) == "tuple (0, 5) contains 5, not a domain element of size 2"
+    assert message(2, ((1,), (0, 5))) == "tuple (0, 5) contains 5, not a domain element of size 2"
+    assert message(2, ((0, 5, 1),)) == "tuple (0, 5, 1) has length 3, expected arity 2"
+
+
+def test_relation_accepts_lists_and_removes_duplicates():
+    r = Relation(BOOL, 2, [[1, 0], [0, 1], [1, 0]])
+    assert r.tuples == ((0, 1), (1, 0))
+    assert Relation(THREE, 0, [[], ()]).tuples == ((),)
+    assert Relation(THREE, 1, [[2], [2]]).tuples == ((2,),)
+
+
 def test_relation_full_and_empty():
     assert Relation.full(BOOL, 2).tuples == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert Relation.full(BOOL, 2).is_full
