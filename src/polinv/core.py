@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -117,11 +117,19 @@ class Relation:
     def __post_init__(self) -> None:
         if not isinstance(self.arity, int) or self.arity < 0:
             raise ValueError(f"arity must be a nonnegative integer, got {self.arity!r}")
-        canon = sorted({tuple(t) for t in self.tuples})
-        for t in canon:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} has length {len(t)}, expected arity {self.arity}")
-            _check_values(t, self.domain.size, f"tuple {t}")
+        canon = sorted(set(map(tuple, self.tuples)))
+        # One pass over the lengths and one over the flattened values; only
+        # a failure walks the tuples, to name the first bad one.
+        flat = list(chain.from_iterable(canon))
+        if (
+            set(map(len, canon)) - {self.arity}
+            or not set(map(type, flat)) <= {int}  # every value, since True == 1
+            or not set(flat).issubset(range(self.domain.size))
+        ):
+            for t in canon:
+                if len(t) != self.arity:
+                    raise ValueError(f"tuple {t} has length {len(t)}, expected arity {self.arity}")
+                _check_values(t, self.domain.size, f"tuple {t}")
         object.__setattr__(self, "tuples", tuple(canon))
 
     def __contains__(self, t: Sequence[int]) -> bool:
@@ -168,7 +176,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index_size, int) or self.index_size < 1:
+        if not isinstance(self.index_size, int) or isinstance(self.index_size, bool) or self.index_size < 1:
             raise ValueError(f"index_size must be a positive integer, got {self.index_size!r}")
         canon = sorted(tuple(sorted(b)) for b in self.blocks)
         seen: set[int] = set()
@@ -176,7 +184,7 @@ class Partition:
             if not b:
                 raise ValueError("empty block in partition")
             for x in b:
-                if not isinstance(x, int) or not 0 <= x < self.index_size:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.index_size:
                     raise ValueError(f"block element {x!r} outside index set of size {self.index_size}")
                 if x in seen:
                     raise ValueError(f"index {x} appears in two blocks")

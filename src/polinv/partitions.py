@@ -9,38 +9,37 @@ orientation that makes every diagonal relation invariant under every
 finite-arity operation: applying an operation coordinatewise can only
 merge value classes, so the image kernel coarsens the common refinement
 of the row kernels and stays inside the ideal.
+
+Every ideal is principal: it is the set of coarsenings of its finest
+member π, the common refinement of all its members.  So everything is
+built from π.  The members are the partitions of π's blocks mapped back
+onto the index set, there are Bell(number of blocks of π) of them, and
+the diagonal relation is the set of tuples constant on π's blocks.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Domain, Operation, Partition, Relation, kernel_partition, preserves
+from .core import Domain, Operation, Partition, Relation, preserves
 from .errors import ParseError, ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
 
-def all_partitions(index_size: int) -> Iterator[Partition]:
-    """Generate every partition of {0, ..., index_size-1}.
+def _growth_strings(size: int) -> Iterator[list[int]]:
+    """Every restricted-growth label string of the given length: position
+    0 gets label 0 and each later position a label at most one past the
+    maximum so far.  Each string labels the blocks of one partition of
+    {0, ..., size-1}; the one list is reused between yields."""
+    labels = [0] * size
 
-    Enumerates restricted-growth label strings: position 0 gets label 0
-    and each later position a label at most one past the maximum so far.
-    """
-    if index_size < 1:
-        raise ValueError(f"index_size must be at least 1, got {index_size}")
-    labels = [0] * index_size
-
-    def rec(i: int, mx: int) -> Iterator[Partition]:
-        if i == index_size:
-            groups: dict[int, list[int]] = {}
-            for pos, lab in enumerate(labels):
-                groups.setdefault(lab, []).append(pos)
-            yield Partition(index_size, tuple(tuple(g) for g in groups.values()))
+    def rec(i: int, mx: int) -> Iterator[list[int]]:
+        if i == size:
+            yield labels
             return
         for v in range(mx + 2):
             labels[i] = v
@@ -49,12 +48,54 @@ def all_partitions(index_size: int) -> Iterator[Partition]:
     return rec(1, 0)
 
 
-def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:
-    """All partitions of the index set in canonical order."""
+def _groups(labels: Iterable) -> tuple[tuple[int, ...], ...]:
+    """The positions of equal labels, grouped."""
+    groups: dict[object, list[int]] = {}
+    for pos, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(pos)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def all_partitions(index_size: int) -> Iterator[Partition]:
+    """Generate every partition of {0, ..., index_size-1}, one per
+    restricted-growth label string."""
+    if index_size < 1:
+        raise ValueError(f"index_size must be at least 1, got {index_size}")
+    return (Partition(index_size, _groups(labels)) for labels in _growth_strings(index_size))
+
+
+def bell_number(n: int) -> int:
+    """The number of partitions of an n-element set, read off the Bell
+    triangle: each row starts with the last entry of the row above, and
+    each later entry adds the entry above its left neighbour."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _common_refinement(index_size: int, parts: Iterable[Partition]) -> Partition:
+    """The meet of the partitions (the one-block partition if there are
+    none), in one grouping pass over their block labels."""
+    labels = [p.block_of() for p in parts]
+    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
+
+
+def _check_lattice_size(index_size: int, limits: Limits) -> None:
     if index_size > limits.max_index:
         raise ResourceBoundError(
             f"partition lattice on {index_size} indices exceeds cap {limits.max_index}"
         )
+    if index_size < 1:
+        raise ValueError(f"index_size must be at least 1, got {index_size}")
+
+
+def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:
+    """All partitions of the index set in canonical order."""
+    _check_lattice_size(index_size, limits)
     return tuple(sorted(all_partitions(index_size), key=lambda p: p.blocks))
 
 
@@ -64,13 +105,15 @@ class PartitionIdeal:
     pairwise common refinement (an ideal in reverse-refinement order).
 
     Every such ideal is principal: it is exactly the set of coarsenings
-    of its finest member, the common refinement of all its members.
-    Construction verifies that, so a PartitionIdeal value is always a
-    genuine ideal.  The one-block partition is always a member.
+    of its finest member π, the common refinement of all its members,
+    which is kept as `finest` (not compared).  Construction verifies
+    that, so a PartitionIdeal value is always a genuine ideal.  The
+    one-block partition is always a member.
     """
 
     index_size: int
     members: tuple[Partition, ...]
+    finest: Partition = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         canon = sorted(set(self.members), key=lambda p: p.blocks)
@@ -83,13 +126,14 @@ class PartitionIdeal:
         # Every member coarsens the common refinement, whose coarsenings
         # correspond one to one to the partitions of its blocks; the set
         # is an ideal iff it holds all of them, that is iff the counts agree.
-        finest = reduce(Partition.meet, canon)
-        coarsenings = sum(1 for _ in all_partitions(len(finest.blocks)))
+        finest = _common_refinement(self.index_size, canon)
+        coarsenings = bell_number(len(finest.blocks))
         if len(canon) != coarsenings:
             raise ValueError(
                 f"not an ideal: {len(canon)} members, but their common refinement "
                 f"{finest.blocks} has {coarsenings} coarsenings"
             )
+        object.__setattr__(self, "finest", finest)
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.members)
@@ -108,31 +152,38 @@ def ideal_downset(
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> PartitionIdeal:
-    """Least ideal containing the generators: the coarsenings of the
-    generators' common refinement.  With no generators this is the
-    one-element ideal of the one-block partition."""
-    lattice = partition_lattice(index_size, limits=limits)
-    finest = Partition.top(index_size)
+    """Least ideal containing the generators: the coarsenings of their
+    common refinement π, one for each partition of π's blocks.  With no
+    generators this is the one-element ideal of the one-block partition."""
+    _check_lattice_size(index_size, limits)
+    generators = tuple(generators)
     for p in generators:
         if p.index_size != index_size:
             raise ValueError(f"generator over index set of size {p.index_size}, expected {index_size}")
-        finest = finest.meet(p)
-    return PartitionIdeal(index_size, tuple(p for p in lattice if finest.refines(p)))
+    blocks = _common_refinement(index_size, generators).blocks
+    members = []
+    for labels in _growth_strings(len(blocks)):
+        merged = (tuple(x for j in group for x in blocks[j]) for group in _groups(labels))
+        members.append(Partition(index_size, tuple(merged)))
+    return PartitionIdeal(index_size, tuple(members))
 
 
 def diagonal_relation(
     ideal: PartitionIdeal, domain: Domain, *, limits: Limits = DEFAULT_LIMITS
 ) -> Relation:
-    """All tuples over the domain whose kernel partition lies in the ideal."""
+    """All tuples over the domain whose kernel partition lies in the
+    ideal: the tuples constant on the blocks of its finest member, one
+    for each assignment of domain elements to those blocks."""
     kappa = ideal.index_size
     count = domain.size**kappa
     if count > limits.max_materialize:
         raise ResourceBoundError(
             f"diagonal relation would materialize {count} tuples, cap is {limits.max_materialize}"
         )
-    members = set(ideal.members)
-    tuples = [t for t in product(range(domain.size), repeat=kappa) if kernel_partition(t) in members]
-    return Relation(domain, kappa, tuple(tuples))
+    where = ideal.finest.block_of()
+    block = [where[i] for i in range(kappa)]
+    values = product(range(domain.size), repeat=len(ideal.finest.blocks))
+    return Relation(domain, kappa, tuple(tuple(v[b] for b in block) for v in values))
 
 
 def check_finitary_preservation(

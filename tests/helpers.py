@@ -22,6 +22,7 @@ from polinv import (
     EqualityAtom,
     RelationAtom,
     all_partitions,
+    kernel_partition,
     pol,
 )
 
@@ -199,6 +200,15 @@ def oracle_ideal_downset(generators, index_size):
                 members.add(p)
                 changed = True
     return members
+
+
+def oracle_diagonal_relation(ideal, domain):
+    """The diagonal relation from its definition: every tuple over the
+    domain whose kernel partition is a member of the ideal."""
+    members = set(ideal.members)
+    kappa = ideal.index_size
+    tuples = [t for t in product(range(domain.size), repeat=kappa) if kernel_partition(t) in members]
+    return Relation(domain, kappa, tuple(tuples))
 
 
 def oracle_is_ideal(members, index_size):

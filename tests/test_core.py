@@ -240,6 +240,15 @@ def test_row_images_match_pointwise_apply():
                 assert list(row_images(cells, combos, width)) == want
 
 
+def test_partition_rejects_bool():
+    with pytest.raises(ValueError, match="index_size must be a positive integer, got True"):
+        Partition(True, ((0,),))
+    with pytest.raises(ValueError, match="block element True outside index set of size 2"):
+        Partition(2, ((True,), (0,)))
+    with pytest.raises(ValueError, match="block element False outside index set of size 2"):
+        Partition(2, ((1,), (False,)))
+
+
 def test_kernel_partition_examples():
     assert kernel_partition((0, 1, 0)) == Partition(3, ((0, 2), (1,)))
     assert kernel_partition((1, 1, 1)) == Partition.top(3)

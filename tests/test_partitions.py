@@ -1,9 +1,11 @@
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from polinv import (
+    Domain,
     ParseError,
     Partition,
     PartitionIdeal,
@@ -19,6 +21,7 @@ from polinv import (
     partition_lattice,
 )
 from polinv.limits import Limits
+from polinv.partitions import bell_number
 
 from helpers import (
     AND,
@@ -27,6 +30,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    oracle_diagonal_relation,
     oracle_ideal_downset,
     oracle_is_ideal,
     oracle_partitions,
@@ -57,6 +61,12 @@ def test_all_partitions_yields_no_duplicates():
     for k in range(1, 6):
         parts = list(all_partitions(k))
         assert len(parts) == len(set(parts))
+
+
+def test_bell_numbers_count_partitions():
+    counts = [bell_number(n) for n in range(1, 9)]
+    assert counts == [sum(1 for _ in all_partitions(n)) for n in range(1, 9)]
+    assert counts == [1, 2, 5, 15, 52, 203, 877, 4140]
 
 
 def test_partition_lattice_order_and_cap():
@@ -116,6 +126,9 @@ def test_ideal_downset_closes_under_meets():
 def test_ideal_downset_rejects_mismatched_generator():
     with pytest.raises(ValueError):
         ideal_downset([Partition.top(2)], 3)
+    # the size cap is checked first
+    with pytest.raises(ResourceBoundError, match="partition lattice on 7 indices exceeds cap 6"):
+        ideal_downset([Partition.top(2)], 7)
 
 
 def test_ideals_are_principal():
@@ -175,6 +188,26 @@ def test_ideal_check_matches_definition_oracle():
             members = ideal ^ {p}
             if members:
                 assert accepts(4, members) == oracle_is_ideal(members, 4)
+
+
+def test_diagonal_relation_matches_kernel_filter_oracle():
+    # every ideal is the downset of one partition, so these are all ideals
+    # at κ ≤ 4; at κ = 5 and 6 a seeded sample
+    cases = [
+        (ideal_downset([p], k), domain)
+        for k in range(1, 5)
+        for p in partition_lattice(k)
+        for domain in (BOOL, THREE, Domain(4))
+    ]
+    rng = random.Random(23)
+    for k in (5, 6):
+        lattice = partition_lattice(k)
+        for _ in range(10):
+            ideal = ideal_downset(rng.sample(lattice, rng.randint(1, 2)), k)
+            cases += [(ideal, BOOL), (ideal, THREE)]
+    for ideal, domain in cases:
+        assert ideal.finest == reduce(Partition.meet, ideal.members)
+        assert diagonal_relation(ideal, domain) == oracle_diagonal_relation(ideal, domain)
 
 
 def test_diagonal_of_trivial_ideal_is_plain_diagonal():
