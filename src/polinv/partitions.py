@@ -183,7 +183,7 @@ def diagonal_relation(
     where = ideal.finest.block_of()
     block = [where[i] for i in range(kappa)]
     values = product(range(domain.size), repeat=len(ideal.finest.blocks))
-    return Relation(domain, kappa, tuple(tuple(v[b] for b in block) for v in values))
+    return Relation(domain, kappa, [tuple(v[b] for b in block) for v in values])
 
 
 def check_finitary_preservation(
