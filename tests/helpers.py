@@ -181,6 +181,13 @@ def oracle_partitions(index_size):
     return {frozenset(frozenset(b) for b in blocks) for blocks in parts}
 
 
+def oracle_blocks(index_size, same):
+    """The classes of the equivalence `same` on {0, ..., index_size-1}, as
+    a set of frozensets: each index together with every index related to
+    it (no grouping pass, no block labels)."""
+    return {frozenset(j for j in range(index_size) if same(i, j)) for i in range(index_size)}
+
+
 def oracle_ideal_downset(generators, index_size):
     """Least ideal containing the generators as a set of partitions:
     add pairwise common refinements and coarsenings until nothing new

@@ -2,10 +2,39 @@ import random
 
 import pytest
 
-from polinv import Domain, Operation, Partition, Relation, compose, kernel_partition, make_projection, preserves
+from polinv import (
+    Domain,
+    Operation,
+    OperationSet,
+    Partition,
+    Relation,
+    RelationSet,
+    all_partitions,
+    compose,
+    kernel_partition,
+    make_projection,
+    preserves,
+)
 from polinv.core import lookup_table, row_images
 
-from helpers import AND, BOOL, EQ, IDENT, LEQ, NEQ, NOT, OR, THREE, oracle_compose, oracle_preserves, random_operation, random_relation
+from helpers import (
+    AND,
+    BOOL,
+    EQ,
+    IDENT,
+    LEQ,
+    MAJ,
+    NEQ,
+    NOT,
+    OR,
+    THREE,
+    XOR,
+    oracle_blocks,
+    oracle_compose,
+    oracle_preserves,
+    random_operation,
+    random_relation,
+)
 
 
 def test_domain_tuples_lex_order_first_coordinate_most_significant():
@@ -311,3 +340,68 @@ def test_partition_lattice_laws():
         assert p.join(q) == q.join(p)
         assert p.meet(q) == q.meet(p)
         assert p.join(p) == p and p.meet(p) == p
+
+
+def _blocks(p):
+    return {frozenset(b) for b in p.blocks}
+
+
+def test_kernel_partition_matches_oracle():
+    rng = random.Random(31)
+    for _ in range(200):
+        t = [rng.randrange(4) for _ in range(rng.randint(1, 7))]
+        assert _blocks(kernel_partition(t)) == oracle_blocks(len(t), lambda i, j: t[i] == t[j])
+    with pytest.raises(ValueError, match="^kernel of the empty tuple is undefined$"):
+        kernel_partition(())
+
+
+def test_partition_meet_matches_oracle():
+    def together(p, i, j):
+        return any(i in b and j in b for b in p.blocks)
+
+    for n in range(1, 6):
+        parts = list(all_partitions(n))
+        for p in parts:
+            for q in parts:
+                want = oracle_blocks(n, lambda i, j: together(p, i, j) and together(q, i, j))
+                assert _blocks(p.meet(q)) == want
+    with pytest.raises(ValueError, match="^partitions over different index sets$"):
+        Partition.top(2).meet(Partition.top(3))
+
+
+def test_operation_set_pinned():
+    c1 = Operation(BOOL, 0, (1,), name="c1")
+    s = OperationSet(BOOL, (MAJ, OR, AND.renamed("conj"), NOT, AND, c1, IDENT, NOT.renamed("neg")))
+    # canonical order: by arity, then by table; the first name given wins
+    assert [op.name for op in s] == ["c1", "id", "NOT", "conj", "OR", "MAJ"]
+    assert s.ops == tuple(s) and len(s) == 6
+    assert s.arity_members(2) == (AND, OR) and s.arity_members(4) == ()
+    assert s.max_arity() == 3 and OperationSet(BOOL, ()).max_arity() == 0
+    assert AND.renamed("x") in s and c1 in s
+    assert XOR not in s and Operation(BOOL, 0, (0,)) not in s
+    # same arity and table, other domain
+    assert Operation(THREE, 0, (1,)) not in s
+    assert Operation(THREE, 1, (0, 1, 1)) not in OperationSet(THREE, (Operation(THREE, 1, (0, 1, 2)),))
+    with pytest.raises(ValueError, match=r"^operation \(1, 0, 2\) over a different domain$"):
+        OperationSet(BOOL, (AND, Operation(THREE, 1, (1, 0, 2))))
+    with pytest.raises(ValueError, match="^operation f over a different domain$"):
+        OperationSet(BOOL, (Operation(THREE, 1, (1, 0, 2), name="f"),))
+
+
+def test_relation_set_pinned():
+    unary = Relation(BOOL, 1, ((1,),), name="one")
+    true0 = Relation(BOOL, 0, ((),), name="true0")
+    s = RelationSet(BOOL, (NEQ, LEQ.renamed("order"), unary, EQ, LEQ, true0, Relation.empty(BOOL, 1)))
+    # canonical order: by arity, then by the sorted tuple list; the first name given wins
+    assert [r.name for r in s] == ["true0", "", "one", "order", "eq", "neq"]
+    assert s.rels == tuple(s) and len(s) == 6
+    assert s.arity_members(2) == (LEQ, EQ, NEQ) and s.arity_members(3) == ()
+    assert LEQ in s and Relation(BOOL, 1, ((1,),)) in s
+    assert Relation.full(BOOL, 2) not in s and Relation.empty(BOOL, 0) not in s
+    # same arity and tuples, other domain
+    assert Relation(THREE, 2, NEQ.tuples) not in s
+    assert Relation(THREE, 0, ((),)) not in s
+    with pytest.raises(ValueError, match=r"^relation \(\(2,\),\) over a different domain$"):
+        RelationSet(BOOL, (LEQ, Relation(THREE, 1, ((2,),))))
+    with pytest.raises(ValueError, match="^relation r over a different domain$"):
+        RelationSet(BOOL, (Relation(THREE, 1, ((2,),), name="r"),))
