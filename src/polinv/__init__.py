@@ -8,7 +8,6 @@ generalized diagonal relations built from partition-lattice ideals.
 
 from .clones import (
     EssentialSet,
-    OperationSet,
     clone_closure,
     clone_contains,
     essential_variables,
@@ -17,15 +16,17 @@ from .clones import (
 from .core import (
     Domain,
     Operation,
+    OperationSet,
     Partition,
     Relation,
+    RelationSet,
     compose,
     kernel_partition,
     make_projection,
     preserves,
 )
 from .errors import ParseError, PolinvError, ResourceBoundError
-from .galois import GaloisReport, RelationSet, galois_check, inv, invariant_closure, pol
+from .galois import GaloisReport, galois_check, inv, invariant_closure, pol
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     PartitionIdeal,

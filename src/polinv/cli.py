@@ -12,9 +12,9 @@ import sys
 from typing import Sequence
 
 from .clones import clone_closure, essential_variables, graph_relation
-from .core import Domain, Operation, Relation
+from .core import Domain, Operation, Relation, RelationSet
 from .errors import ParseError, ResourceBoundError
-from .galois import RelationSet, galois_check, inv, pol
+from .galois import galois_check, inv, pol
 from .limits import Limits
 from .partitions import diagonal_relation, format_partition, ideal_downset, parse_partition
 from .pp import eval_pp, pp_closure_of

@@ -1,75 +1,31 @@
-"""Bounded clone closure, membership, graph relations, essential coordinates."""
+"""Bounded clone closure, membership, graph relations, essential coordinates,
+over operation sets held as core.OperationSet values."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
-from .core import Domain, Operation, Relation, compose, make_projection
+from .core import Operation, OperationSet, Relation, compose, make_projection
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
-
-
-@dataclass(frozen=True)
-class OperationSet:
-    """A duplicate-free set of operations over one domain.
-
-    Members are held in canonical order: by arity, then lexicographically
-    by table.  When two inputs share (arity, table) the first one's name
-    survives.
-    """
-
-    domain: Domain
-    ops: tuple[Operation, ...]
-
-    def __post_init__(self) -> None:
-        seen: dict[tuple[int, tuple[int, ...]], Operation] = {}
-        for op in self.ops:
-            if op.domain != self.domain:
-                raise ValueError(f"operation {op.name or op.table} over a different domain")
-            seen.setdefault((op.arity, op.table), op)
-        canon = sorted(seen.values(), key=lambda op: (op.arity, op.table))
-        object.__setattr__(self, "ops", tuple(canon))
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __contains__(self, op: Operation) -> bool:
-        i = bisect_left(self.ops, (op.arity, op.table), key=lambda o: (o.arity, o.table))
-        return i < len(self.ops) and self.ops[i] == op
-
-    def arity_members(self, arity: int) -> tuple[Operation, ...]:
-        return tuple(op for op in self.ops if op.arity == arity)
-
-    def max_arity(self) -> int:
-        return max((op.arity for op in self.ops), default=0)
-
-    def union(self, other: "OperationSet") -> "OperationSet":
-        if other.domain != self.domain:
-            raise ValueError("union across different domains")
-        return OperationSet(self.domain, self.ops + other.ops)
 
 
 @dataclass(frozen=True)
 class EssentialSet:
     """The coordinates an operation essentially depends on.
 
-    Construction recomputes the set from the table and rejects a mismatch,
-    so an EssentialSet in hand is always trustworthy.
+    Construction computes the indices from the table and rejects given
+    ones that differ, so an EssentialSet in hand is always trustworthy.
     """
 
     op: Operation
-    indices: tuple[int, ...]
+    indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.indices)))
-        object.__setattr__(self, "indices", canon)
-        if canon != _essential_indices(self.op):
+        canon = None if self.indices is None else tuple(sorted(set(self.indices)))
+        object.__setattr__(self, "indices", _essential_indices(self.op))
+        if canon is not None and canon != self.indices:
             raise ValueError(f"indices {canon} are not the essential coordinates of {self.op.name or self.op.table}")
 
 
@@ -94,7 +50,7 @@ def _essential_indices(op: Operation) -> tuple[int, ...]:
 
 def essential_variables(op: Operation) -> EssentialSet:
     """Coordinates i for which some pair differing only at i changes the value."""
-    return EssentialSet(op, _essential_indices(op))
+    return EssentialSet(op)
 
 
 def clone_closure(

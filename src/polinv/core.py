@@ -9,7 +9,8 @@ Conventions used everywhere in the package:
 * a relation is a canonically sorted, deduplicated tuple set;
 * a partition of {0, ..., k-1} stores blocks sorted by minimum element.
 
-All values are immutable after construction.
+All values are immutable after construction.  The member sets
+OperationSet and RelationSet live here too, next to their members.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain, product
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Any, Hashable, Iterable, Iterator, Sequence
+
+
+def _check_count(value: object, what: str, least: int) -> None:
+    """Reject anything but an int of at least least (0 or 1); bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +35,7 @@ class Domain:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise ValueError(f"domain size must be a positive integer, got {self.size!r}")
+        _check_count(self.size, "domain size", 1)
 
     def elements(self) -> range:
         return range(self.size)
@@ -77,8 +84,7 @@ class Operation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(self.table))
-        if not isinstance(self.arity, int) or self.arity < 0:
-            raise ValueError(f"arity must be a nonnegative integer, got {self.arity!r}")
+        _check_count(self.arity, "arity", 0)
         expected = self.domain.size**self.arity
         if len(self.table) != expected:
             raise ValueError(
@@ -115,8 +121,7 @@ class Relation:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or self.arity < 0:
-            raise ValueError(f"arity must be a nonnegative integer, got {self.arity!r}")
+        _check_count(self.arity, "arity", 0)
         canon = sorted(set(map(tuple, self.tuples)))
         # One pass over the lengths and one over the flattened values; only
         # a failure walks the tuples, to name the first bad one.
@@ -162,6 +167,81 @@ class Relation:
         return replace(self, name=name)
 
 
+class _MemberSet:
+    """The body of OperationSet and RelationSet.  A subclass names the
+    field holding its members (_field), their kind in messages (_kind) and
+    their key (_key), (arity, table) or (arity, tuples).  Members over
+    other domains are refused, duplicate keys keep the first name given,
+    and members are held in key order."""
+
+    def __post_init__(self) -> None:
+        seen: dict[tuple, Any] = {}
+        for m in getattr(self, self._field):
+            if m.domain != self.domain:
+                raise ValueError(f"{self._kind} {m.name or self._key(m)[1]} over a different domain")
+            seen.setdefault(self._key(m), m)
+        object.__setattr__(self, self._field, tuple(seen[k] for k in sorted(seen)))
+
+    def __iter__(self) -> Iterator:
+        return iter(getattr(self, self._field))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._field))
+
+    def __contains__(self, m: Any) -> bool:
+        members = getattr(self, self._field)
+        i = bisect_left(members, self._key(m), key=self._key)
+        return i < len(members) and members[i] == m
+
+    def arity_members(self, arity: int) -> tuple:
+        return tuple(m for m in self if m.arity == arity)
+
+
+@dataclass(frozen=True)
+class OperationSet(_MemberSet):
+    """A duplicate-free set of operations over one domain.
+
+    Members are held in canonical order: by arity, then lexicographically
+    by table.  When two inputs share (arity, table) the first one's name
+    survives.
+    """
+
+    domain: Domain
+    ops: tuple[Operation, ...]
+    _field, _kind, _key = "ops", "operation", attrgetter("arity", "table")
+
+    def max_arity(self) -> int:
+        return max((op.arity for op in self.ops), default=0)
+
+
+@dataclass(frozen=True)
+class RelationSet(_MemberSet):
+    """A duplicate-free set of relations over one domain.
+
+    Canonical order: by arity, then lexicographically by tuple list.
+    First name wins on duplicates, as in OperationSet.
+    """
+
+    domain: Domain
+    rels: tuple[Relation, ...]
+    _field, _kind, _key = "rels", "relation", attrgetter("arity", "tuples")
+
+
+def _groups(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
+    """The positions of equal labels, grouped, in order of first occurrence."""
+    groups: dict[Hashable, list[int]] = {}
+    for pos, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(pos)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def _common_refinement(index_size: int, parts: Iterable["Partition"]) -> "Partition":
+    """The meet of the partitions (the one-block partition if there are
+    none), in one grouping pass over their block labels."""
+    labels = [p.block_of() for p in parts]
+    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of the index set {0, ..., index_size-1}.
@@ -176,8 +256,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index_size, int) or isinstance(self.index_size, bool) or self.index_size < 1:
-            raise ValueError(f"index_size must be a positive integer, got {self.index_size!r}")
+        _check_count(self.index_size, "index_size", 1)
         canon = sorted(tuple(sorted(b)) for b in self.blocks)
         seen: set[int] = set()
         for b in canon:
@@ -231,20 +310,13 @@ class Partition:
         for b in self.blocks + other.blocks:
             for x in b[1:]:
                 parent[find(b[0])] = find(x)
-        groups: dict[int, list[int]] = {}
-        for i in range(self.index_size):
-            groups.setdefault(find(i), []).append(i)
-        return Partition(self.index_size, tuple(tuple(g) for g in groups.values()))
+        return Partition(self.index_size, _groups(find(i) for i in range(self.index_size)))
 
     def meet(self, other: "Partition") -> "Partition":
-        """Greatest partition finer than both (pairwise block intersections)."""
+        """Greatest partition finer than both: their common refinement."""
         if self.index_size != other.index_size:
             raise ValueError("partitions over different index sets")
-        mine, theirs = self.block_of(), other.block_of()
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in range(self.index_size):
-            groups.setdefault((mine[i], theirs[i]), []).append(i)
-        return Partition(self.index_size, tuple(tuple(g) for g in groups.values()))
+        return _common_refinement(self.index_size, (self, other))
 
 
 def make_projection(domain: Domain, arity: int, index: int, name: str | None = None) -> Operation:
@@ -334,7 +406,4 @@ def kernel_partition(t: Sequence[int]) -> Partition:
     """Partition of positions of t grouping equal values."""
     if len(t) == 0:
         raise ValueError("kernel of the empty tuple is undefined")
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(t):
-        groups.setdefault(v, []).append(i)
-    return Partition(len(t), tuple(tuple(g) for g in groups.values()))
+    return Partition(len(t), _groups(t))

@@ -9,59 +9,20 @@ the same backtracker, with some cells pinned and a first-solution stop,
 decides pp-definability.
 invariant_closure generates the least invariant superset of a seed
 tuple set; galois_check checks that pol recovers a generated clone from
-its maximal invariants.
+its maximal invariants.  The operation and relation sets on either side
+are core.OperationSet and core.RelationSet values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .clones import OperationSet, clone_closure
-from .core import Domain, Operation, Relation, lookup_table, row_images
+from .clones import clone_closure
+from .core import Domain, Operation, OperationSet, Relation, RelationSet, lookup_table, row_images
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
-
-
-@dataclass(frozen=True)
-class RelationSet:
-    """A duplicate-free set of relations over one domain.
-
-    Canonical order: by arity, then lexicographically by tuple list.
-    First name wins on duplicates, as in OperationSet.
-    """
-
-    domain: Domain
-    rels: tuple[Relation, ...]
-
-    def __post_init__(self) -> None:
-        seen: dict[tuple[int, tuple[tuple[int, ...], ...]], Relation] = {}
-        for r in self.rels:
-            if r.domain != self.domain:
-                raise ValueError(f"relation {r.name or r.tuples} over a different domain")
-            seen.setdefault((r.arity, r.tuples), r)
-        canon = sorted(seen.values(), key=lambda r: (r.arity, r.tuples))
-        object.__setattr__(self, "rels", tuple(canon))
-
-    def __iter__(self) -> Iterator[Relation]:
-        return iter(self.rels)
-
-    def __len__(self) -> int:
-        return len(self.rels)
-
-    def __contains__(self, r: Relation) -> bool:
-        i = bisect_left(self.rels, (r.arity, r.tuples), key=lambda s: (s.arity, s.tuples))
-        return i < len(self.rels) and self.rels[i] == r
-
-    def arity_members(self, arity: int) -> tuple[Relation, ...]:
-        return tuple(r for r in self.rels if r.arity == arity)
-
-    def union(self, other: "RelationSet") -> "RelationSet":
-        if other.domain != self.domain:
-            raise ValueError("union across different domains")
-        return RelationSet(self.domain, self.rels + other.rels)
 
 
 def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
@@ -374,10 +335,8 @@ def galois_check(
         invariant_count += len(masks)
         kept.extend(_relations(domain, k, _maximal_invariants(masks, domain.size**k)))
     recovered = pol(RelationSet(domain, tuple(kept)), arity, limits=limits)
-    clone_tables = {op.table for op in clone_n}
-    recovered_tables = {op.table for op in recovered}
-    witnesses = tuple(op for op in recovered if op.table not in clone_tables)
-    witnesses += tuple(op for op in clone_n if op.table not in recovered_tables)
+    witnesses = tuple(op for op in recovered if op not in clone_n)
+    witnesses += tuple(op for op in clone_n if op not in recovered)
     return GaloisReport(
         domain=domain,
         arity=arity,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .core import _check_count
+
 ENV_MAX_CANDIDATES = "GALOIS_MAX_CANDIDATES"
 
 
@@ -24,8 +26,7 @@ class Limits:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"limit {name} must be a positive integer, got {value!r}")
+            _check_count(value, f"limit {name}", 1)
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "Limits":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Domain, Operation, Partition, Relation, preserves
+from .core import Domain, Operation, Partition, Relation, _common_refinement, _groups, preserves
 from .errors import ParseError, ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -48,14 +48,6 @@ def _growth_strings(size: int) -> Iterator[list[int]]:
     return rec(1, 0)
 
 
-def _groups(labels: Iterable) -> tuple[tuple[int, ...], ...]:
-    """The positions of equal labels, grouped."""
-    groups: dict[object, list[int]] = {}
-    for pos, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(pos)
-    return tuple(tuple(g) for g in groups.values())
-
-
 def all_partitions(index_size: int) -> Iterator[Partition]:
     """Generate every partition of {0, ..., index_size-1}, one per
     restricted-growth label string."""
@@ -75,13 +67,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[-1]
-
-
-def _common_refinement(index_size: int, parts: Iterable[Partition]) -> Partition:
-    """The meet of the partitions (the one-block partition if there are
-    none), in one grouping pass over their block labels."""
-    labels = [p.block_of() for p in parts]
-    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
 
 
 def _check_lattice_size(index_size: int, limits: Limits) -> None:

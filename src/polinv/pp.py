@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
-from .core import Domain, Operation, Relation, lookup_table, row_images
+from .core import Domain, Operation, Relation, RelationSet, lookup_table, row_images
 from .errors import ParseError
-from .galois import RelationSet, _table_search
+from .galois import _table_search
 from .limits import DEFAULT_LIMITS, Limits
 
 _KEYWORDS = frozenset({"def", "exists", "true"})
@@ -338,9 +338,8 @@ def eval_pp(formula: PPFormula, env: RelationSet, domain: Domain) -> Relation:
     for r in env:
         if r.name:
             named[r.name] = r
-    for r in env:
-        if r.domain != domain:
-            raise ValueError("environment relation over a different domain")
+    if env and env.domain != domain:
+        raise ValueError("environment relation over a different domain")
     vars_cur: list[str] = []
     rows_cur: set[tuple[int, ...]] = {()}
     for atom in formula.atoms:

@@ -24,10 +24,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .clones import OperationSet
-from .core import Domain, Operation, Relation
+from .core import Domain, Operation, OperationSet, Relation, RelationSet
 from .errors import ParseError, ResourceBoundError
-from .galois import RelationSet
 from .limits import DEFAULT_LIMITS, Limits
 from .pp import PPFormula, parse_pp_file
 
@@ -43,7 +41,6 @@ class Workspace:
     ops_by_name: dict[str, Operation] = field(compare=False)
     rels_by_name: dict[str, Relation] = field(compare=False)
     formulas_by_name: dict[str, PPFormula] = field(compare=False)
-    limits: Limits = field(default=DEFAULT_LIMITS, compare=False)
 
 
 def _parse_int(token: str, what: str, path: str, line: int) -> int:
@@ -217,5 +214,4 @@ def load_workspace(paths: Sequence[str], *, limits: Limits = DEFAULT_LIMITS) -> 
         ops_by_name=ops_by_name,
         rels_by_name=rels_by_name,
         formulas_by_name=formulas_by_name,
-        limits=limits,
     )

@@ -175,8 +175,20 @@ def test_essential_variables_examples():
 def test_essential_set_rejects_wrong_indices():
     from polinv import EssentialSet
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^indices \(0,\) are not the essential coordinates of AND$"):
         EssentialSet(AND, (0,))
+    assert EssentialSet(AND, (1, 0, 1)).indices == (0, 1)
+    assert EssentialSet(NOT).indices == (0,)
+
+
+def test_essential_variables_scans_the_table_once(monkeypatch):
+    from polinv import clones
+
+    scanned = []
+    scan = clones._essential_indices
+    monkeypatch.setattr(clones, "_essential_indices", lambda op: scanned.append(op) or scan(op))
+    assert essential_variables(AND).indices == (0, 1)
+    assert scanned == [AND]
 
 
 def test_essential_variables_random_cross_check():

@@ -269,6 +269,26 @@ def test_row_images_match_pointwise_apply():
                 assert list(row_images(cells, combos, width)) == want
 
 
+def test_counts_refuse_bool_and_values_below_their_least():
+    from polinv import Limits
+
+    def message(make):
+        with pytest.raises(ValueError) as info:
+            make()
+        return str(info.value)
+
+    assert message(lambda: Operation(BOOL, True, (1, 0))) == "arity must be a nonnegative integer, got True"
+    assert message(lambda: Relation(BOOL, True, [(0,), (1,)])) == "arity must be a nonnegative integer, got True"
+    assert message(lambda: Operation(BOOL, -1, ())) == "arity must be a nonnegative integer, got -1"
+    assert message(lambda: Relation(BOOL, 1.0, ())) == "arity must be a nonnegative integer, got 1.0"
+    assert message(lambda: Domain(True)) == "domain size must be a positive integer, got True"
+    assert message(lambda: Domain(0)) == "domain size must be a positive integer, got 0"
+    assert message(lambda: Partition(0, ())) == "index_size must be a positive integer, got 0"
+    assert message(lambda: Limits(max_index=True)) == "limit max_index must be a positive integer, got True"
+    assert message(lambda: Limits(max_closure=0)) == "limit max_closure must be a positive integer, got 0"
+    assert Operation(BOOL, 0, (1,)).arity == 0 and Relation(BOOL, 0, ()).arity == 0
+
+
 def test_partition_rejects_bool():
     with pytest.raises(ValueError, match="index_size must be a positive integer, got True"):
         Partition(True, ((0,),))

@@ -155,6 +155,13 @@ def test_eval_atom_arity_mismatch():
         eval_pp(phi, ENV, BOOL)
 
 
+def test_eval_refuses_an_environment_over_another_domain():
+    phi = parse_pp("def f(x) := x = x")
+    with pytest.raises(ValueError, match="^environment relation over a different domain$"):
+        eval_pp(phi, ENV, THREE)
+    assert eval_pp(phi, relation_set([]), THREE) == Relation.full(THREE, 1)
+
+
 def test_eval_matches_naive_oracle():
     rng = random.Random(83)
     for domain in (BOOL, THREE):
