@@ -23,8 +23,8 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 
 def _check_count(value: object, what: str, least: int) -> None:
-    """Reject anything but an int of at least least (0 or 1); bool is not a count."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+    """Refuse all but an exact int (so no bool) of at least least, 0 or 1."""
+    if type(value) is not int or value < least:
         raise ValueError(f"{what} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
 
 
