@@ -175,12 +175,12 @@ class _MemberSet:
     and members are held in key order."""
 
     def __post_init__(self) -> None:
-        seen: dict[tuple, Any] = {}
+        key, seen = self._key, {}
         for m in getattr(self, self._field):
             if m.domain != self.domain:
-                raise ValueError(f"{self._kind} {m.name or self._key(m)[1]} over a different domain")
-            seen.setdefault(self._key(m), m)
-        object.__setattr__(self, self._field, tuple(seen[k] for k in sorted(seen)))
+                raise ValueError(f"{self._kind} {m.name or key(m)[1]} over a different domain")
+            seen.setdefault(key(m), m)
+        object.__setattr__(self, self._field, tuple(sorted(seen.values(), key=key)))
 
     def __iter__(self) -> Iterator:
         return iter(getattr(self, self._field))
