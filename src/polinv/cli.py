@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .clones import clone_closure, essential_variables, graph_relation
-from .core import Domain, Operation, Relation, RelationSet
+from .core import Domain, Operation, Relation, RelationSet, _check_count
 from .errors import ParseError, ResourceBoundError
 from .galois import galois_check, inv, pol
 from .limits import Limits
@@ -59,8 +59,7 @@ def _named(items: Sequence, prefix: str) -> list[tuple[str, object]]:
 
 
 def _require_enum_arity(arity: int, limits: Limits) -> None:
-    if arity < 1:
-        raise ValueError(f"arity must be at least 1, got {arity}")
+    _check_count(arity, "arity", 1)
     if arity > limits.max_enum_arity:
         raise ResourceBoundError(f"arity {arity} exceeds enumeration cap {limits.max_enum_arity}")
 
@@ -68,9 +67,7 @@ def _require_enum_arity(arity: int, limits: Limits) -> None:
 def _cmd_clone_gen(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.ops, limits=limits)
     _require_enum_arity(args.max_arity, limits)
-    closure = clone_closure(
-        ws.operations, args.max_arity, include_nullary=args.include_nullary, limits=limits
-    )
+    closure = clone_closure(ws.operations, args.max_arity, limits=limits)
     lines = [_format_op(name, op) for name, op in _named(closure.ops, "f")]
     summary = f"clone-gen domain={ws.domain.size} max-arity={args.max_arity} count={len(closure)}"
     return summary, lines
@@ -87,8 +84,8 @@ def _cmd_pol(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
 
 def _cmd_inv(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.ops, limits=limits)
-    if args.arity < 1:
-        raise ValueError(f"arity must be at least 1, got {args.arity}")
+    # data files cannot hold arity-0 relations, and both would print as "rel rN 0 :"
+    _check_count(args.arity, "arity", 1)
     rels = inv(ws.operations, args.arity, limits=limits)
     lines = [_format_rel(name, rel) for name, rel in _named(rels.rels, "r")]
     summary = f"inv domain={ws.domain.size} arity={args.arity} count={len(rels)}"
@@ -131,11 +128,10 @@ def _cmd_ppdef(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]
 
 
 def _cmd_diag(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
-    if args.domain < 1:
-        raise ValueError(f"domain size must be at least 1, got {args.domain}")
+    domain = Domain(args.domain)
+    # diag loads no workspace, so the domain cap is checked here
     if args.domain > limits.max_domain:
         raise ResourceBoundError(f"domain size {args.domain} exceeds cap {limits.max_domain}")
-    domain = Domain(args.domain)
     texts = [part.strip() for part in args.generators.split(";") if part.strip()]
     generators = tuple(parse_partition(text, args.kappa) for text in texts)
     ideal = ideal_downset(generators, args.kappa, limits=limits)
@@ -193,7 +189,6 @@ def _build_parser() -> _Parser:
     p = command("clone-gen", _cmd_clone_gen, "close operations under composition up to an arity bound")
     p.add_argument("--ops", action="append", required=True, metavar="FILE")
     p.add_argument("--max-arity", type=int, required=True, metavar="N")
-    p.add_argument("--include-nullary", action="store_true")
 
     p = command("pol", _cmd_pol, "enumerate the polymorphisms of the given relations")
     p.add_argument("--rels", action="append", required=True, metavar="FILE")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Operation, OperationSet, Relation, compose, make_projection
+from .core import Operation, OperationSet, Relation, _check_count, compose, make_projection
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -30,7 +30,7 @@ class EssentialSet:
 
 
 def _essential_indices(op: Operation) -> tuple[int, ...]:
-    if op.arity < 1:
+    if op.arity == 0:
         raise ValueError("essential coordinates are defined for arity >= 1")
     d = op.domain.size
     n = op.arity
@@ -57,7 +57,6 @@ def clone_closure(
     generators: OperationSet,
     max_arity: int,
     *,
-    include_nullary: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> OperationSet:
     """Least composition-closed operation set of arity <= max_arity.
@@ -66,15 +65,14 @@ def clone_closure(
     closed under compose(f, gs) for any member f and same-arity member
     tuples gs whose common arity stays within the bound.  Fixpoint by
     breadth-first rounds over a work set, deduplicating by table.
+    Nullary members come only from nullary generators: with none, the
+    arity-0 pool stays empty.
     """
-    if max_arity < 1:
-        raise ValueError(f"max_arity must be at least 1, got {max_arity}")
+    _check_count(max_arity, "max_arity", 1)
     domain = generators.domain
     for g in generators:
         if g.arity > max_arity:
             raise ValueError(f"generator arity {g.arity} exceeds max_arity {max_arity}")
-        if g.arity == 0 and not include_nullary:
-            raise ValueError("nullary generator requires include_nullary")
 
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
 
@@ -91,7 +89,6 @@ def clone_closure(
     for g in generators:
         add(g)
 
-    min_arity = 0 if include_nullary else 1
     fresh = set(members)
     while fresh:
         current = list(members.values())
@@ -102,7 +99,7 @@ def clone_closure(
         for f in current:
             f_key = (f.arity, f.table)
             f_fresh = f_key in fresh
-            for n in range(min_arity, max_arity + 1):
+            for n in range(max_arity + 1):
                 pool = by_arity.get(n, [])
                 if f.arity > 0 and not pool:
                     continue
@@ -125,13 +122,13 @@ def clone_contains(
     op: Operation,
     max_arity: int,
     *,
-    include_nullary: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
-    """Membership of op in the bounded closure of the generators."""
+    """Membership of op in the bounded closure of the generators; a
+    nullary op can only be a member when some generator is nullary."""
     if op.arity > max_arity:
         raise ValueError(f"operation arity {op.arity} exceeds max_arity {max_arity}")
-    closed = clone_closure(generators, max_arity, include_nullary=include_nullary, limits=limits)
+    closed = clone_closure(generators, max_arity, limits=limits)
     return op in closed
 
 
@@ -149,20 +146,13 @@ def graph_relation(
     closed internally first; passing an already-closed set just re-checks
     the fixpoint.
     """
-    if arity < 1:
-        raise ValueError(f"arity must be at least 1, got {arity}")
+    _check_count(arity, "arity", 1)
     domain = ops.domain
     width = domain.size**arity
     if width > limits.max_materialize:
         raise ResourceBoundError(
             f"graph relation of arity {width} exceeds materialization cap {limits.max_materialize}"
         )
-    include_nullary = any(op.arity == 0 for op in ops)
-    closed = clone_closure(
-        ops,
-        max(arity, ops.max_arity()),
-        include_nullary=include_nullary,
-        limits=limits,
-    )
+    closed = clone_closure(ops, max(arity, ops.max_arity()), limits=limits)
     rows = [op.table for op in closed.arity_members(arity)]
     return Relation(domain, width, tuple(rows))

@@ -42,8 +42,7 @@ class Domain:
 
     def tuples(self, arity: int) -> Iterator[tuple[int, ...]]:
         """All tuples of the given arity, in lexicographic order."""
-        if arity < 0:
-            raise ValueError(f"arity must be nonnegative, got {arity}")
+        _check_count(arity, "arity", 0)
         return product(range(self.size), repeat=arity)
 
     def tuple_index(self, t: Sequence[int]) -> int:
@@ -55,6 +54,7 @@ class Domain:
 
     def tuple_at(self, arity: int, index: int) -> tuple[int, ...]:
         """Inverse of tuple_index for the given arity."""
+        _check_count(arity, "arity", 0)
         if not 0 <= index < self.size**arity:
             raise ValueError(f"index {index} out of range for arity {arity}")
         out = [0] * arity
@@ -321,8 +321,7 @@ class Partition:
 
 def make_projection(domain: Domain, arity: int, index: int, name: str | None = None) -> Operation:
     """The arity-ary projection onto the given coordinate."""
-    if arity < 1:
-        raise ValueError(f"projection arity must be at least 1, got {arity}")
+    _check_count(arity, "projection arity", 1)
     if not 0 <= index < arity:
         raise ValueError(f"projection index {index} out of range for arity {arity}")
     table = tuple(t[index] for t in domain.tuples(arity))

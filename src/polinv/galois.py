@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .clones import clone_closure
-from .core import Domain, Operation, OperationSet, Relation, RelationSet, lookup_table, row_images
+from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, lookup_table, row_images
 from .errors import ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -124,20 +124,18 @@ def inv(
     ops: OperationSet,
     arity: int,
     *,
-    include_nullary: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> RelationSet:
     """Every relation of the given arity preserved by all members of ops;
     an empty ops set therefore yields every relation of that arity.
+    Arity 0 is allowed: of the two arity-0 relations, {()} is always
+    invariant and {} unless ops holds a nullary member.
 
     A pruned depth-first search over tuple sets (see _invariant_masks):
     its cost follows the number of invariants, but the candidate cap
     still applies to all 2^(d^arity) tuple sets up front.
     """
-    if arity < 0:
-        raise ValueError(f"arity must be nonnegative, got {arity}")
-    if arity == 0 and not include_nullary:
-        raise ValueError("relation arity 0 requires include_nullary")
+    _check_count(arity, "arity", 0)
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
 
 
@@ -206,20 +204,17 @@ def pol(
     rels: RelationSet,
     arity: int,
     *,
-    include_nullary: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> OperationSet:
     """Every operation of the given arity preserving all members of rels,
-    tables ascending; an empty rels set yields every table.
+    tables ascending; an empty rels set yields every table.  At arity 0
+    these are the constants c with (c, ..., c) in every member.
 
     Runs the shared table backtracker (see _table_search) with no pins and
     no stop; pp_closure_of and pp_witness run it pinned, one search per
     candidate tuple.
     """
-    if arity < 0:
-        raise ValueError(f"arity must be nonnegative, got {arity}")
-    if arity == 0 and not include_nullary:
-        raise ValueError("operation arity 0 requires include_nullary")
+    _check_count(arity, "arity", 0)
     domain = rels.domain
     tables = _table_search(rels, arity, limits)({}, False)
     return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
@@ -316,15 +311,11 @@ def galois_check(
     separates everything outside the clone.  pol gets only the maximal
     invariants, which suffice (see _maximal_invariants)."""
     domain = generators.domain
-    if arity < 1:
-        raise ValueError(f"arity must be at least 1, got {arity}")
+    _check_count(arity, "arity", 1)
     if max_k is None:
         max_k = domain.size**arity
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
-    include_nullary = any(op.arity == 0 for op in generators)
-    closure_arity = max(arity, generators.max_arity())
-    closure = clone_closure(generators, closure_arity, include_nullary=include_nullary, limits=limits)
+    _check_count(max_k, "max_k", 1)
+    closure = clone_closure(generators, max(arity, generators.max_arity()), limits=limits)
     clone_n = OperationSet(domain, closure.arity_members(arity))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Domain, Operation, Partition, Relation, _common_refinement, _groups, preserves
+from .core import Domain, Operation, Partition, Relation, _check_count, _common_refinement, _groups, preserves
 from .errors import ParseError, ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -51,8 +51,7 @@ def _growth_strings(size: int) -> Iterator[list[int]]:
 def all_partitions(index_size: int) -> Iterator[Partition]:
     """Generate every partition of {0, ..., index_size-1}, one per
     restricted-growth label string."""
-    if index_size < 1:
-        raise ValueError(f"index_size must be at least 1, got {index_size}")
+    _check_count(index_size, "index_size", 1)
     return (Partition(index_size, _groups(labels)) for labels in _growth_strings(index_size))
 
 
@@ -74,8 +73,7 @@ def _check_lattice_size(index_size: int, limits: Limits) -> None:
         raise ResourceBoundError(
             f"partition lattice on {index_size} indices exceeds cap {limits.max_index}"
         )
-    if index_size < 1:
-        raise ValueError(f"index_size must be at least 1, got {index_size}")
+    _check_count(index_size, "index_size", 1)
 
 
 def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:

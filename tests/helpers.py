@@ -161,7 +161,7 @@ def oracle_pp_closure_of(r, rels):
     columns.  pol itself is held to oracle_pol elsewhere."""
     columns = [tuple(row[j] for row in r.tuples) for j in range(r.arity)]
     out = set(r.tuples)
-    for f in pol(rels, len(r), include_nullary=True):
+    for f in pol(rels, len(r)):
         out.add(tuple(f.apply(col) for col in columns))
     return Relation(r.domain, r.arity, tuple(out), name=r.name)
 

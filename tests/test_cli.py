@@ -24,6 +24,25 @@ def test_clone_gen_output():
     )
 
 
+def test_clone_gen_lists_nullary_generators(tmp_path):
+    ops = tmp_path / "const.ops"
+    ops.write_text("domain 2\n\nop c 0\n1\n\nop AND 2\n0 0 0 1\n")
+    code, out, err = run(["clone-gen", "--ops", str(ops), "--max-arity", "2"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "clone-gen domain=2 max-arity=2 count=7\n"
+        "op c 0 : 1\n"
+        "op pr0_1 1 : 0 1\n"
+        "op f0 1 : 1 1\n"
+        "op AND 2 : 0 0 0 1\n"
+        "op pr0_2 2 : 0 0 1 1\n"
+        "op pr1_2 2 : 0 1 0 1\n"
+        "op f1 2 : 1 1 1 1\n"
+    )
+    code, _, err = run(["clone-gen", "--ops", str(ops), "--max-arity", "2", "--include-nullary"])
+    assert code == 2 and "unrecognized arguments: --include-nullary" in err
+
+
 def test_clone_gen_auto_names_skip_taken():
     code, out, _ = run(["clone-gen", "--ops", NOT_OPS, "--max-arity", "1"])
     assert code == 0
@@ -272,8 +291,8 @@ def test_diag_stdout_matches_golden_files():
 
 def test_diag_refusals_are_pinned():
     expected = {
-        ("0", ""): (2, "error: index_size must be at least 1, got 0\n"),
-        ("-1", ""): (2, "error: index_size must be at least 1, got -1\n"),
+        ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),
+        ("-1", ""): (2, "error: index_size must be a positive integer, got -1\n"),
         ("7", ""): (3, "error: partition lattice on 7 indices exceeds cap 6\n"),
         ("0", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got 0\n"),
         ("-1", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got -1\n"),

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from polinv import (
     clone_closure,
     clone_contains,
     essential_variables,
+    galois_check,
     graph_relation,
     make_projection,
     preserves,
@@ -18,8 +20,8 @@ from polinv.limits import Limits
 from helpers import AND, BOOL, IDENT, NOT, OR, THREE, XOR, opset, oracle_compose, random_operation
 
 
-def closure_tables(generators, max_arity, **kw):
-    return {(f.arity, f.table) for f in clone_closure(opset(generators), max_arity, **kw)}
+def closure_tables(generators, max_arity):
+    return {(f.arity, f.table) for f in clone_closure(opset(generators), max_arity)}
 
 
 def test_closure_of_nothing_is_projections():
@@ -40,15 +42,36 @@ def test_closure_of_not_at_arity_one():
     assert set(got) == {NOT, IDENT}
 
 
-def test_closure_respects_include_nullary():
+def test_closure_keeps_nullary_generators():
     zero = Operation(BOOL, 0, (0,), name="c0")
-    with pytest.raises(ValueError):
-        clone_closure(opset([zero]), 1)
-    with_null = clone_closure(opset([zero]), 1, include_nullary=True)
+    with_null = clone_closure(opset([zero]), 1)
     arities = {f.arity for f in with_null}
     assert 0 in arities
     # the unary constant arises from the nullary generator by superposition
     assert Operation(BOOL, 1, (0, 0)) in with_null
+
+
+def test_nullary_generators_need_no_flag():
+    one = Operation(BOOL, 0, (1,), name="c1")
+    zero = Operation(THREE, 0, (0,), name="z")
+    suc = Operation(THREE, 1, (1, 2, 0), name="suc")
+    # the nullary members are the constants the nullary generators generate;
+    # max_k=2 keeps d=3 under inv's candidate cap, and suffices there
+    cases = [(opset([one, AND]), 2, None, [(1,)]), (opset([zero, suc], THREE), 1, 2, [(0,), (1,), (2,)])]
+    for gens, max_arity, max_k, constants in cases:
+        domain = gens.domain
+        closed = clone_closure(gens, max_arity)
+        assert all(g in closed for g in gens)
+        assert [f.table for f in closed.arity_members(0)] == constants
+        for n in range(max_arity + 1):
+            members = closed.arity_members(n)
+            for table in product(domain.elements(), repeat=domain.size**n):
+                op = Operation(domain, n, table)
+                assert clone_contains(gens, op, max_arity) == (op in members)
+            if n:
+                assert graph_relation(gens, n).tuples == tuple(sorted(f.table for f in members))
+                report = galois_check(gens, n, max_k=max_k)
+                assert report.passed and set(report.clone_ops) == set(members)
 
 
 def test_closure_is_extensive_and_contains_projections():

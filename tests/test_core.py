@@ -1,20 +1,29 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from polinv import (
     Domain,
+    Limits,
     Operation,
     OperationSet,
     Partition,
     Relation,
     RelationSet,
     all_partitions,
+    clone_closure,
     compose,
+    galois_check,
+    graph_relation,
+    inv,
     kernel_partition,
     make_projection,
+    partition_lattice,
+    pol,
     preserves,
 )
+from polinv.cli import _require_enum_arity, run
 from polinv.core import lookup_table, row_images
 
 from helpers import (
@@ -270,8 +279,6 @@ def test_row_images_match_pointwise_apply():
 
 
 def test_counts_refuse_bool_and_values_below_their_least():
-    from polinv import Limits
-
     def message(make):
         with pytest.raises(ValueError) as info:
             make()
@@ -287,6 +294,32 @@ def test_counts_refuse_bool_and_values_below_their_least():
     assert message(lambda: Limits(max_index=True)) == "limit max_index must be a positive integer, got True"
     assert message(lambda: Limits(max_closure=0)) == "limit max_closure must be a positive integer, got 0"
     assert Operation(BOOL, 0, (1,)).arity == 0 and Relation(BOOL, 0, ()).arity == 0
+
+    # every arity-like argument goes through the same check
+    ops, rels = OperationSet(BOOL, (AND,)), RelationSet(BOOL, (LEQ,))
+    and_ops = str(Path(__file__).parent / "data" / "and.ops")
+    arguments = [
+        ("arity", 0, lambda v: list(BOOL.tuples(v))),
+        ("arity", 0, lambda v: BOOL.tuple_at(v, 0)),
+        ("arity", 0, lambda v: inv(ops, v)),
+        ("arity", 0, lambda v: pol(rels, v)),
+        ("projection arity", 1, lambda v: make_projection(BOOL, v, 0)),
+        ("arity", 1, lambda v: graph_relation(ops, v)),
+        ("arity", 1, lambda v: galois_check(ops, v)),
+        ("max_k", 1, lambda v: galois_check(ops, 1, max_k=v)),
+        ("max_arity", 1, lambda v: clone_closure(ops, v)),
+        ("index_size", 1, lambda v: list(all_partitions(v))),
+        ("index_size", 1, lambda v: partition_lattice(v)),
+        ("arity", 1, lambda v: _require_enum_arity(v, Limits())),
+    ]
+    for what, least, call in arguments:
+        kind = "positive" if least else "nonnegative"
+        for value in (True, -1, 0) if least else (True, -1):
+            assert message(lambda: call(value)) == f"{what} must be a {kind} integer, got {value!r}", what
+    for value in ("0", "-1"):
+        assert run(["inv", "--ops", and_ops, "--arity", value]) == (
+            2, "", f"error: arity must be a positive integer, got {value}\n"
+        )
 
 
 def test_partition_rejects_bool():

@@ -100,11 +100,9 @@ def test_inv_counts_in_closed_form():
         assert len(inv(opset([]), k)) == 2 ** 2**k
 
 
-def test_inv_arity_zero_needs_flag():
-    with pytest.raises(ValueError):
-        inv(opset([AND]), 0)
+def test_inv_at_arity_zero():
     # both arity-0 relations are invariant under any nonnullary operation
-    assert len(inv(opset([AND]), 0, include_nullary=True)) == 2
+    assert len(inv(opset([AND]), 0)) == 2
 
 
 def test_inv_candidate_cap():
@@ -127,17 +125,15 @@ def test_pol_members_actually_preserve():
 
 
 def test_pol_nullary():
-    with pytest.raises(ValueError):
-        pol(relation_set([LEQ]), 0)
-    consts = pol(relation_set([LEQ]), 0, include_nullary=True)
+    consts = pol(relation_set([LEQ]), 0)
     assert {f.table for f in consts} == {(0,), (1,)}
-    assert len(pol(relation_set([NEQ]), 0, include_nullary=True)) == 0
+    assert len(pol(relation_set([NEQ]), 0)) == 0
 
 
 def test_pol_of_empty_relation():
     empty = Relation.empty(BOOL, 2)
     assert len(pol(relation_set([empty]), 1)) == 4
-    assert len(pol(relation_set([empty]), 0, include_nullary=True)) == 0
+    assert len(pol(relation_set([empty]), 0)) == 0
 
 
 def test_pol_matches_filtering_oracle():
