@@ -16,7 +16,7 @@ are core.OperationSet and core.RelationSet values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .clones import clone_closure
@@ -43,6 +43,13 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     no closed set; and each prefix of a closed set misses only image
     tuples of that set, all ranked above the prefix, so none is pruned.
     The same argument bounds each child's rank by the lowest missing one.
+
+    Every member is applied once per call, to all its row combinations,
+    and each image is filed under the highest rank t the combination
+    uses: root holds the nullary constants, pair[t][b] the combinations
+    over t and one lower rank b (b == t for t alone), and wide[t][q]
+    those over t and two or more lower ranks q, ascending.  A node adding
+    t ORs in the entries for t and for the subsets of the ranks below it.
     """
     domain = ops.domain
     d = domain.size
@@ -53,29 +60,32 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
             f"materialization cap is {limits.max_materialize}"
         )
     _guard_enumeration(2**size, f"inv at arity {arity}", limits)
+    _guard_enumeration(sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}", limits)
     tuples = list(domain.tuples(arity))
     rank = {t: i for i, t in enumerate(tuples)}
-
-    # root is the image of the empty set (the nullary constants); pair[t][b]
-    # is the image of the unary and binary row combinations over {t, b}
-    # that use both t and b, with b == t allowed
     root = 0
     pair = [[0] * size for _ in range(size)]
-    wide: list[tuple[int, dict[tuple[int, ...], int]]] = []
+    wide: list[dict[tuple[int, ...], int]] = [{} for _ in range(size)]
     for f in ops:
-        lookup = lookup_table(f.table, d, f.arity)
-        if f.arity > 2:
-            wide.append((f.arity, lookup))
-            continue
-        images = row_images(lookup, product(tuples, repeat=f.arity), arity)
+        images = row_images(lookup_table(f.table, d, f.arity), product(tuples, repeat=f.arity), arity)
         for ranks, image in zip(product(range(size), repeat=f.arity), images):
             bit = 1 << rank[image]
-            if ranks:
-                t, b = ranks[0], ranks[-1]
-                pair[t][b] |= bit
-                pair[b][t] |= bit
-            else:
+            if not ranks:
                 root |= bit
+            elif f.arity <= 2:
+                t, b = ranks[0], ranks[-1]
+                if t < b:
+                    t, b = b, t
+                pair[t][b] |= bit
+            else:
+                used = sorted(set(ranks))
+                t = used[-1]
+                if len(used) < 3:
+                    pair[t][used[0]] |= bit
+                else:
+                    q = tuple(used[:-1])
+                    wide[t][q] = wide[t].get(q, 0) | bit
+    subset_sizes = range(2, ops.max_arity())
 
     found: list[int] = []
     path: list[int] = []
@@ -91,18 +101,11 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
             new = img | row[t]
             for b in path:
                 new |= row[b]
-            if wide:
-                held = [tuples[b] for b in path]
-                added = [tuples[t]]
-                rows = held + added
-                produced: set[tuple[int, ...]] = set()
-                for m, lookup in wide:
-                    # row combinations from rows whose first new row sits at i
-                    for i in range(m):
-                        combos = product(*[held] * i, added, *[rows] * (m - 1 - i))
-                        produced.update(row_images(lookup, combos, arity))
-                for image in produced:
-                    new |= 1 << rank[image]
+            if wide[t]:
+                get = wide[t].get
+                for j in subset_sizes:
+                    for q in combinations(path, j):
+                        new |= get(q, 0)
             if new & ~grown & ((2 << t) - 1):
                 continue
             path.append(t)
@@ -131,9 +134,9 @@ def inv(
     Arity 0 is allowed: of the two arity-0 relations, {()} is always
     invariant and {} unless ops holds a nullary member.
 
-    A pruned depth-first search over tuple sets (see _invariant_masks):
-    its cost follows the number of invariants, but the candidate cap
-    still applies to all 2^(d^arity) tuple sets up front.
+    A pruned depth-first search (see _invariant_masks) whose cost follows
+    the number of invariants; the candidate cap applies up front to the
+    2^(d^arity) tuple sets and to the row combinations of the members.
     """
     _check_count(arity, "arity", 0)
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))

@@ -8,7 +8,7 @@ cap for a CLI invocation; library callers pass a Limits value instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import _check_count
 
@@ -32,17 +32,13 @@ class Limits:
     def from_env(cls, env: dict[str, str] | None = None) -> "Limits":
         """Default limits with the candidate cap taken from the environment."""
         env = os.environ if env is None else env
-        limits = cls()
         raw = env.get(ENV_MAX_CANDIDATES)
         if raw is None:
-            return limits
+            return cls()
         try:
-            cap = int(raw)
+            return cls(max_candidates=int(raw))
         except ValueError as exc:
-            raise ValueError(f"{ENV_MAX_CANDIDATES} must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ValueError(f"{ENV_MAX_CANDIDATES} must be positive, got {cap}")
-        return replace(limits, max_candidates=cap)
+            raise ValueError(f"{ENV_MAX_CANDIDATES} must be a positive integer, got {raw!r}") from exc
 
 
 DEFAULT_LIMITS = Limits()

@@ -69,11 +69,11 @@ def bell_number(n: int) -> int:
 
 
 def _check_lattice_size(index_size: int, limits: Limits) -> None:
+    _check_count(index_size, "index_size", 1)
     if index_size > limits.max_index:
         raise ResourceBoundError(
             f"partition lattice on {index_size} indices exceeds cap {limits.max_index}"
         )
-    _check_count(index_size, "index_size", 1)
 
 
 def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:

@@ -237,6 +237,16 @@ def random_operation(rng, domain, arity, name=""):
     return Operation(domain, arity, table, name=name)
 
 
+def near_projection(rng, domain, arity):
+    """A random projection with one or two cells changed: unlike a random
+    table it keeps many invariants, built from many distinct rows."""
+    i = rng.randrange(arity)
+    table = [t[i] for t in domain.tuples(arity)]
+    for c in rng.sample(range(len(table)), rng.randint(1, 2)):
+        table[c] = (table[c] + rng.randrange(1, domain.size)) % domain.size
+    return Operation(domain, arity, tuple(table))
+
+
 def random_relation(rng, domain, arity, name="", allow_empty=True, max_size=None):
     universe = list(domain.tuples(arity))
     low = 0 if allow_empty else 1

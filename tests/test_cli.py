@@ -7,6 +7,7 @@ DATA = Path(__file__).parent / "data"
 BOOL_OPS = str(DATA / "bool.ops")
 AND_OPS = str(DATA / "and.ops")
 NOT_OPS = str(DATA / "not.ops")
+MAJ_OPS = str(DATA / "maj.ops")
 LEQ_REL = str(DATA / "leq.rel")
 ORDER_REL = str(DATA / "order.rel")
 ORDER_PP = str(DATA / "order.pp")
@@ -190,6 +191,17 @@ def test_check_with_small_max_k_still_passes_here():
     assert out.splitlines()[3] == "PASS"
 
 
+def test_check_on_majority_is_pinned():
+    # 4356 = 4 + 16 + 166 + 4170 invariants over k = 1..4
+    code, out, err = run(["check", "--ops", MAJ_OPS, "--arity", "2"])
+    assert (code, err) == (0, "")
+    assert out == "check domain=2 arity=2 max-k=4\nclone : 2\ninvariants : 4356\nrecovered : 2\nPASS\n"
+    # Baker-Pixley: with a majority operation the binary invariants suffice
+    code, out, err = run(["check", "--ops", MAJ_OPS, "--arity", "3", "--max-k", "2"])
+    assert (code, err) == (0, "")
+    assert out == "check domain=2 arity=3 max-k=2\nclone : 4\ninvariants : 20\nrecovered : 4\nPASS\n"
+
+
 def test_quiet_drops_only_the_summary():
     loud = run(["pol", "--rels", LEQ_REL, "--arity", "1"])
     quiet = run(["pol", "--rels", LEQ_REL, "--arity", "1", "--quiet"])
@@ -254,9 +266,10 @@ def test_env_cap_override(monkeypatch):
 
 
 def test_bad_env_cap_is_exit_2(monkeypatch):
-    monkeypatch.setenv("GALOIS_MAX_CANDIDATES", "many")
-    code, _, err = run(["inv", "--ops", AND_OPS, "--arity", "1"])
-    assert code == 2
+    for raw in ("many", "0", "-3"):
+        monkeypatch.setenv("GALOIS_MAX_CANDIDATES", raw)
+        code, out, err = run(["inv", "--ops", AND_OPS, "--arity", "1"])
+        assert (code, out) == (2, "") and "GALOIS_MAX_CANDIDATES" in err, raw
 
 
 def test_help_exits_zero():

@@ -28,6 +28,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    near_projection,
     op,
     opset,
     oracle_inv,
@@ -72,6 +73,12 @@ def test_inv_matches_filtering_oracle():
     for _ in range(8):
         ops = [random_operation(rng, BOOL, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
         cases += [(BOOL, ops, 1), (BOOL, ops, 2)]
+    # ops of arity 3 and 4, alone and beside a nullary or binary op; the
+    # d=3 arity-4 cases at k=2 need images of four distinct rows
+    for domain, ks, arities in [(BOOL, (1, 2, 3), (3, 4))] * 5 + [(THREE, (1, 2), (3,)), (THREE, (2,), (4,))] * 2:
+        wide = [near_projection(rng, domain, rng.choice(arities))]
+        mixed = [random_operation(rng, domain, rng.choice((0, 2)))] + wide
+        cases += [(domain, ops, k) for ops in (wide, mixed) for k in ks]
     cases.append((BOOL, [AND, NOT], 3))
     cases.append((BOOL, [op((1,), arity=0), AND], 2))  # the constant 1 must sit in every invariant
     cases += [(BOOL, [f], k) for f in (MAJ, MINORITY) for k in (1, 2, 3)]
@@ -97,7 +104,10 @@ def test_inv_counts_in_closed_form():
         assert len(inv(opset([NOT]), k)) == 2 ** 2 ** (k - 1)
         # the empty relation plus every subspace of GF(2)^k
         assert len(inv(opset([XOR]), k)) == 1 + (2, 5, 16, 67)[k - 1]
+        # the empty relation plus every affine subspace of GF(2)^k
+        assert len(inv(opset([MINORITY]), k)) == (4, 12, 52, 308)[k - 1]
         assert len(inv(opset([]), k)) == 2 ** 2**k
+    assert len(inv(opset([MAJ]), 4)) == 4170
 
 
 def test_inv_at_arity_zero():
@@ -108,6 +118,11 @@ def test_inv_at_arity_zero():
 def test_inv_candidate_cap():
     with pytest.raises(ResourceBoundError):
         inv(opset([AND]), 5)
+    # every row combination is applied up front: 16^6 of them at arity 4
+    senary = random_operation(random.Random(6), BOOL, 6)
+    with pytest.raises(ResourceBoundError, match="^inv row combinations at arity 4 needs 16777216 candidates"):
+        inv(opset([senary]), 4)
+    assert len(inv(opset([senary]), 2)) >= 2  # 4^6 combinations pass
 
 
 def test_pol_examples():

@@ -77,6 +77,14 @@ def test_partition_lattice_order_and_cap():
     assert len(partition_lattice(7, limits=Limits(max_index=9))) == 877
 
 
+def test_lattice_size_is_checked_as_a_count_before_the_cap():
+    for value in ("3", 3.0, "9"):
+        for call in (partition_lattice, lambda v: ideal_downset([], v)):
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"index_size must be a positive integer, got {value!r}"
+
+
 def test_ideal_must_contain_coarsenings():
     with pytest.raises(ValueError):
         PartitionIdeal(3, (P01_2,))  # one-block coarsening missing
