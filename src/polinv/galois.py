@@ -30,6 +30,11 @@ def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
         raise ResourceBoundError(f"{what} needs {count} candidates, cap is {limits.max_candidates}")
 
 
+def _guard_materialize(count: int, what: str, limits: Limits) -> None:
+    if count > limits.max_materialize:
+        raise ResourceBoundError(f"{what}, materialization cap is {limits.max_materialize}")
+
+
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
     """Bitmasks over tuple ranks of every relation of the given arity
     preserved by all members of ops.
@@ -44,47 +49,47 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     tuples of that set, all ranked above the prefix, so none is pruned.
     The same argument bounds each child's rank by the lowest missing one.
 
-    Every member is applied once per call, to all its row combinations,
-    and each image is filed under the highest rank t the combination
-    uses: root holds the nullary constants, pair[t][b] the combinations
-    over t and one lower rank b (b == t for t alone), and wide[t][q]
-    those over t and two or more lower ranks q, ascending.  A node adding
-    t ORs in the entries for t and for the subsets of the ranks below it.
+    Each member is applied once per call to all its row combinations, by
+    index arithmetic: with the first row fixed, the later rows pick per
+    coordinate a table cell below its argument, and image[c] ranks the
+    image of the cells packed as c.  Images are ORed per set of ranks used
+    and filed under its highest rank t: root holds the nullary constants,
+    pair[t][b] the set {t, b} (b == t for {t}), wide[t][q] the set of t and
+    two or more lower ranks q, ascending.  A node adding t ORs in the
+    entries for t and for the subsets of the ranks below it.
     """
     domain = ops.domain
     d = domain.size
     size = d**arity
-    if size > limits.max_materialize:
-        raise ResourceBoundError(
-            f"relations of arity {arity} hold up to {size} tuples, "
-            f"materialization cap is {limits.max_materialize}"
-        )
+    _guard_materialize(size, f"relations of arity {arity} hold up to {size} tuples", limits)
     _guard_enumeration(2**size, f"inv at arity {arity}", limits)
     _guard_enumeration(sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}", limits)
     tuples = list(domain.tuples(arity))
-    rank = {t: i for i, t in enumerate(tuples)}
-    root = 0
+    root = sum({1 << domain.tuple_index((f.table[0],) * arity) for f in ops if not f.arity})
+    images: dict[int, int] = {}  # bitmask of the ranks used -> image
+    for f in (f for f in ops if f.arity):
+        step = d ** (f.arity - 1)
+        spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in tuples]
+        used, cells = [0], [0]
+        for _ in range(f.arity - 1):
+            used = [u | 1 << r for u in used for r in range(size)]
+            cells = [c * d + s for c in cells for s in spread]
+        for r, row in enumerate(tuples):
+            image = [0]
+            for a in row:
+                part = f.table[a * step : (a + 1) * step]
+                image = [g * d + v for g in image for v in part]
+            for u, c in zip([w | 1 << r for w in used], cells):
+                images[u] = images.get(u, 0) | 1 << image[c]
     pair = [[0] * size for _ in range(size)]
     wide: list[dict[tuple[int, ...], int]] = [{} for _ in range(size)]
-    for f in ops:
-        images = row_images(lookup_table(f.table, d, f.arity), product(tuples, repeat=f.arity), arity)
-        for ranks, image in zip(product(range(size), repeat=f.arity), images):
-            bit = 1 << rank[image]
-            if not ranks:
-                root |= bit
-            elif f.arity <= 2:
-                t, b = ranks[0], ranks[-1]
-                if t < b:
-                    t, b = b, t
-                pair[t][b] |= bit
-            else:
-                used = sorted(set(ranks))
-                t = used[-1]
-                if len(used) < 3:
-                    pair[t][used[0]] |= bit
-                else:
-                    q = tuple(used[:-1])
-                    wide[t][q] = wide[t].get(q, 0) | bit
+    for u, bits in images.items():
+        t = u.bit_length() - 1
+        low = u ^ 1 << t
+        if low & (low - 1):
+            wide[t][tuple(b for b in range(t) if low >> b & 1)] = bits
+        else:  # t alone, or t and one lower rank
+            pair[t][(low or u).bit_length() - 1] = bits
     subset_sizes = range(2, ops.max_arity())
 
     found: list[int] = []
@@ -160,11 +165,7 @@ def _table_search(
     """
     d = rels.domain.size
     cells = d**arity
-    if cells > limits.max_materialize:
-        raise ResourceBoundError(
-            f"tables of arity {arity} hold {cells} entries, "
-            f"materialization cap is {limits.max_materialize}"
-        )
+    _guard_materialize(cells, f"tables of arity {arity} hold {cells} entries", limits)
     _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
     _guard_enumeration(sum(len(r) ** arity for r in rels), f"pol constraints at arity {arity}", limits)
     cell_of = lookup_table(range(cells), d, arity)
