@@ -12,6 +12,7 @@ from .clones import (
     clone_contains,
     essential_variables,
     graph_relation,
+    invariant_closure,
 )
 from .core import (
     Domain,
@@ -26,7 +27,7 @@ from .core import (
     preserves,
 )
 from .errors import ParseError, PolinvError, ResourceBoundError
-from .galois import GaloisReport, galois_check, inv, invariant_closure, pol
+from .galois import GaloisReport, galois_check, inv, pol
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     PartitionIdeal,

@@ -1,14 +1,22 @@
 """Bounded clone closure, membership, graph relations, essential coordinates,
-over operation sets held as core.OperationSet values."""
+over operation sets held as core.OperationSet values.
+
+The n-ary members of the clone generated by F, held as value tables, are
+the subuniverse of (A^(A^n); F) generated by the n projections (Poeschel
+& Kaluznin 1979; Szendrei 1986).  graph_relation, clone_contains and
+galois.galois_check close that one arity; clone_closure composes every
+arity up to a bound at once.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from typing import Iterable, Iterator, Sequence
 
-from .core import Operation, OperationSet, Relation, _check_count, compose, make_projection
+from .core import Operation, OperationSet, Relation, _check_count, compose, lookup_table, make_projection, row_images
 from .errors import ResourceBoundError
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,13 @@ def essential_variables(op: Operation) -> EssentialSet:
     return EssentialSet(op)
 
 
+def _check_bound(generators: OperationSet, max_arity: int) -> None:
+    _check_count(max_arity, "max_arity", 1)
+    for g in generators:
+        if g.arity > max_arity:
+            raise ValueError(f"generator arity {g.arity} exceeds max_arity {max_arity}")
+
+
 def clone_closure(
     generators: OperationSet,
     max_arity: int,
@@ -68,11 +83,8 @@ def clone_closure(
     Nullary members come only from nullary generators: with none, the
     arity-0 pool stays empty.
     """
-    _check_count(max_arity, "max_arity", 1)
+    _check_bound(generators, max_arity)
     domain = generators.domain
-    for g in generators:
-        if g.arity > max_arity:
-            raise ValueError(f"generator arity {g.arity} exceeds max_arity {max_arity}")
 
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
 
@@ -117,6 +129,78 @@ def clone_closure(
     return OperationSet(domain, tuple(members.values()))
 
 
+def _closing(ops: OperationSet, current: set[tuple[int, ...]], width: int, limits: Limits) -> Iterator[int]:
+    """Close current, a set of width-tuples, under pointwise application of
+    every member of ops, in place, yielding its size after each round.
+
+    Semi-naive: the nullary members' constant tuples join the seeds, and
+    each round applies a member only to the row combinations that hold a
+    tuple new in the previous round (new rows at the first new position,
+    older rows before it, any rows after it).  The round guard counts
+    those combinations alone, |all|^m - |older|^m per member of arity m.
+    """
+    current.update((f.table[0],) * width for f in ops if not f.arity)
+    lookups = [(f.arity, lookup_table(f.table, ops.domain.size, f.arity)) for f in ops if f.arity]
+    older: list[tuple[int, ...]] = []
+    fresh = list(current)
+    while fresh:
+        every = older + fresh
+        combos = sum(len(every) ** m - len(older) ** m for m, _ in lookups)
+        _guard_enumeration(combos, "invariant closure round", limits)
+        produced: set[tuple[int, ...]] = set()
+        for m, lookup in lookups:
+            by_first_fresh = (product(*[older] * i, fresh, *[every] * (m - 1 - i)) for i in range(m))
+            produced.update(row_images(lookup, chain.from_iterable(by_first_fresh), width))
+        older, fresh = every, list(produced - current)
+        current.update(fresh)
+        yield len(current)
+
+
+def invariant_closure(
+    ops: OperationSet,
+    seeds: Iterable[Sequence[int]],
+    arity: int,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+) -> Relation:
+    """Least relation of the given arity containing the seeds and closed
+    under pointwise application of every member of ops.
+
+    Semi-naive rounds (see _closing): a round that would apply more than
+    max_candidates new row combinations is refused.
+    """
+    domain = ops.domain
+    current: set[tuple[int, ...]] = set()
+    for t in seeds:
+        t = tuple(t)
+        if len(t) != arity:
+            raise ValueError(f"seed {t} has length {len(t)}, expected arity {arity}")
+        current.add(t)
+    Relation(domain, arity, tuple(current))  # validates entry ranges
+    for _ in _closing(ops, current, arity, limits):
+        pass
+    return Relation(domain, arity, tuple(current))
+
+
+def _clone_slice(ops: OperationSet, arity: int, limits: Limits) -> set[tuple[int, ...]]:
+    """The value tables of the arity-ary members of the clone generated by
+    ops (of any arities): the closure of the projections' tables under
+    ops.  At arity 0 there are no projections, so these are the constants
+    the nullary members generate.  Refuses tables of more than
+    max_materialize cells and more than max_closure members."""
+    domain = ops.domain
+    width = domain.size**arity
+    if width > limits.max_materialize:
+        raise ResourceBoundError(
+            f"graph relation of arity {width} exceeds materialization cap {limits.max_materialize}"
+        )
+    members = {make_projection(domain, arity, i).table for i in range(arity)}
+    for size in _closing(ops, members, width, limits):
+        if size > limits.max_closure:
+            raise ResourceBoundError(f"clone closure exceeds {limits.max_closure} operations")
+    return members
+
+
 def clone_contains(
     generators: OperationSet,
     op: Operation,
@@ -124,12 +208,14 @@ def clone_contains(
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
-    """Membership of op in the bounded closure of the generators; a
-    nullary op can only be a member when some generator is nullary."""
+    """Membership of op in the clone generated by the generators, none of
+    which, nor op, may exceed max_arity.  Only op's arity is closed (see
+    _clone_slice); a nullary op can only be a member when some generator
+    is nullary."""
     if op.arity > max_arity:
         raise ValueError(f"operation arity {op.arity} exceeds max_arity {max_arity}")
-    closed = clone_closure(generators, max_arity, limits=limits)
-    return op in closed
+    _check_bound(generators, max_arity)
+    return op.domain == generators.domain and op.table in _clone_slice(generators, op.arity, limits)
 
 
 def graph_relation(
@@ -142,17 +228,10 @@ def graph_relation(
     arity-ary members of the clone generated by ops.
 
     Coordinates are indexed by input tuples in lexicographic order, so
-    each relation tuple literally is a value table.  The input set is
-    closed internally first; passing an already-closed set just re-checks
-    the fixpoint.
+    each relation tuple literally is a value table.  Only this arity is
+    closed: the tables are the closure of the projections' tables under
+    ops, whose members may have any arity (see _clone_slice).  Passing an
+    already-closed set just re-checks the fixpoint.
     """
     _check_count(arity, "arity", 1)
-    domain = ops.domain
-    width = domain.size**arity
-    if width > limits.max_materialize:
-        raise ResourceBoundError(
-            f"graph relation of arity {width} exceeds materialization cap {limits.max_materialize}"
-        )
-    closed = clone_closure(ops, max(arity, ops.max_arity()), limits=limits)
-    rows = [op.table for op in closed.arity_members(arity)]
-    return Relation(domain, width, tuple(rows))
+    return Relation(ops.domain, ops.domain.size**arity, tuple(_clone_slice(ops, arity, limits)))

@@ -177,7 +177,7 @@ class _MemberSet:
     def __post_init__(self) -> None:
         key, seen = self._key, {}
         for m in getattr(self, self._field):
-            if m.domain != self.domain:
+            if m.domain is not self.domain and m.domain != self.domain:
                 raise ValueError(f"{self._kind} {m.name or key(m)[1]} over a different domain")
             seen.setdefault(key(m), m)
         object.__setattr__(self, self._field, tuple(sorted(seen.values(), key=key)))

@@ -7,9 +7,8 @@ enumerates every operation of a given arity preserving all given
 relations (depth-first table construction with forward pruning), and
 the same backtracker, with some cells pinned and a first-solution stop,
 decides pp-definability.
-invariant_closure generates the least invariant superset of a seed
-tuple set; galois_check checks that pol recovers a generated clone from
-its maximal invariants.  The operation and relation sets on either side
+galois_check checks that pol recovers a generated clone from its
+maximal invariants.  The operation and relation sets on either side
 are core.OperationSet and core.RelationSet values.
 """
 
@@ -19,20 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
-from .clones import clone_closure
+from .clones import graph_relation
 from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, lookup_table, row_images
-from .errors import ResourceBoundError
-from .limits import DEFAULT_LIMITS, Limits
-
-
-def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
-    if count > limits.max_candidates:
-        raise ResourceBoundError(f"{what} needs {count} candidates, cap is {limits.max_candidates}")
-
-
-def _guard_materialize(count: int, what: str, limits: Limits) -> None:
-    if count > limits.max_materialize:
-        raise ResourceBoundError(f"{what}, materialization cap is {limits.max_materialize}")
+from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration, _guard_materialize
 
 
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
@@ -224,37 +212,6 @@ def pol(
     return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
 
 
-def invariant_closure(
-    ops: OperationSet,
-    seeds: Iterable[Sequence[int]],
-    arity: int,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Relation:
-    """Least relation of the given arity containing the seeds and closed
-    under pointwise application of every member of ops."""
-    domain = ops.domain
-    current: set[tuple[int, ...]] = set()
-    for t in seeds:
-        t = tuple(t)
-        if len(t) != arity:
-            raise ValueError(f"seed {t} has length {len(t)}, expected arity {arity}")
-        current.add(t)
-    Relation(domain, arity, tuple(current))  # validates entry ranges
-    lookups = [(f.arity, lookup_table(f.table, domain.size, f.arity)) for f in ops]
-    while True:
-        combos = sum(len(current) ** m for m, _ in lookups)
-        _guard_enumeration(combos, "invariant closure round", limits)
-        snapshot = sorted(current)
-        fresh: set[tuple[int, ...]] = set()
-        for m, lookup in lookups:
-            fresh.update(row_images(lookup, product(snapshot, repeat=m), arity))
-        fresh -= current
-        if not fresh:
-            return Relation(domain, arity, tuple(current))
-        current |= fresh
-
-
 def _maximal_invariants(masks: Sequence[int], size: int) -> list[int]:
     """The invariants of one arity, as bitmasks over the size tuple ranks,
     that are maximal among those avoiding some tuple x.  They have the
@@ -306,10 +263,11 @@ def galois_check(
     max_k: int | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> GaloisReport:
-    """Close the generators at the given arity (or at their own largest
-    arity, if higher), collect every relation of arity 1..max_k they
-    preserve, and recover the arity-n polymorphisms of that relation set.
-    Passes when recovery returns exactly the closure's n-ary members.
+    """Build the n-ary members of the clone the generators generate (only
+    arity n is closed, whatever the generators' arities; see
+    graph_relation), collect every relation of arity 1..max_k the
+    generators preserve, and recover the arity-n polymorphisms of that
+    relation set.  Passes when recovery returns exactly those members.
     max_k defaults to d^n, which always suffices: the relation whose tuples
     are the value tables of the n-ary members is itself invariant and
     separates everything outside the clone.  pol gets only the maximal
@@ -319,8 +277,8 @@ def galois_check(
     if max_k is None:
         max_k = domain.size**arity
     _check_count(max_k, "max_k", 1)
-    closure = clone_closure(generators, max(arity, generators.max_arity()), limits=limits)
-    clone_n = OperationSet(domain, closure.arity_members(arity))
+    gamma = graph_relation(generators, arity, limits=limits)
+    clone_n = OperationSet(domain, tuple(Operation(domain, arity, table) for table in gamma))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.
     invariant_count = 0

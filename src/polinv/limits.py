@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .core import _check_count
+from .errors import ResourceBoundError
 
 ENV_MAX_CANDIDATES = "GALOIS_MAX_CANDIDATES"
 
@@ -18,7 +19,7 @@ ENV_MAX_CANDIDATES = "GALOIS_MAX_CANDIDATES"
 @dataclass(frozen=True)
 class Limits:
     max_candidates: int = 10_000_000  # enumeration size: subsets, tables, combinations
-    max_closure: int = 1_000_000  # operations held by one clone closure
+    max_closure: int = 1_000_000  # operations held by one clone closure, or by one arity's slice of it
     max_domain: int = 4  # workspace domain size
     max_enum_arity: int = 3  # operation arity in CLI enumerations
     max_index: int = 6  # partition lattice index set size
@@ -42,3 +43,13 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+
+def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
+    if count > limits.max_candidates:
+        raise ResourceBoundError(f"{what} needs {count} candidates, cap is {limits.max_candidates}")
+
+
+def _guard_materialize(count: int, what: str, limits: Limits) -> None:
+    if count > limits.max_materialize:
+        raise ResourceBoundError(f"{what}, materialization cap is {limits.max_materialize}")

@@ -68,13 +68,29 @@ def oracle_compose(f, gs, arity):
 
 def oracle_preserves(f, r):
     """Preservation unrolled directly from the definition."""
+    tset = set(r.tuples)
     if f.arity == 0:
-        return tuple(f.apply(()) for _ in range(r.arity)) in set(r.tuples)
+        return tuple(f.apply(()) for _ in range(r.arity)) in tset
     for rows in product(r.tuples, repeat=f.arity):
         image = tuple(f.apply([row[j] for row in rows]) for j in range(r.arity))
-        if image not in set(r.tuples):
+        if image not in tset:
             return False
     return True
+
+
+def oracle_invariant_closure(ops, seeds, arity, domain):
+    """Least superset of the seeds closed under every op, by the naive
+    fixpoint: each round applies every op pointwise to every combination
+    of the current tuples, until a round adds nothing."""
+    current = {tuple(t) for t in seeds}
+    while True:
+        fresh = set()
+        for f in ops:
+            for rows in product(sorted(current), repeat=f.arity):
+                fresh.add(tuple(f.apply([row[j] for row in rows]) for j in range(arity)))
+        if fresh <= current:
+            return Relation(domain, arity, tuple(current))
+        current |= fresh
 
 
 def oracle_pol(rels, arity, domain):

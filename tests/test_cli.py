@@ -202,6 +202,14 @@ def test_check_on_majority_is_pinned():
     assert out == "check domain=2 arity=3 max-k=2\nclone : 4\ninvariants : 20\nrecovered : 4\nPASS\n"
 
 
+def test_check_bool_at_arity_3():
+    # closing every arity up to 3 at once never finished on bool.ops; the
+    # ternary slice alone holds all 256 ternary operations
+    code, out, err = run(["check", "--ops", BOOL_OPS, "--arity", "3", "--max-k", "3"])
+    assert (code, err) == (0, "")
+    assert out == "check domain=2 arity=3 max-k=3\nclone : 256\ninvariants : 11\nrecovered : 256\nPASS\n"
+
+
 def test_quiet_drops_only_the_summary():
     loud = run(["pol", "--rels", LEQ_REL, "--arity", "1"])
     quiet = run(["pol", "--rels", LEQ_REL, "--arity", "1", "--quiet"])

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +17,27 @@ from polinv import (
 )
 from polinv.limits import Limits
 
-from helpers import AND, BOOL, IDENT, NOT, OR, THREE, XOR, opset, oracle_compose, random_operation
+from helpers import (
+    AND,
+    BOOL,
+    IDENT,
+    MAJ,
+    NOT,
+    OR,
+    THREE,
+    XOR,
+    near_projection,
+    op,
+    opset,
+    oracle_compose,
+    random_operation,
+)
+
+MIN3 = op([min(x, y) for x, y in THREE.tuples(2)], domain=THREE, name="min")
+SUC3 = op([(x + 1) % 3 for x in range(3)], domain=THREE, name="suc")
+PLUS3 = op([(x + y) % 3 for x, y in THREE.tuples(2)], domain=THREE, name="plus")
+# Webb's function max(x, y) + 1 mod 3 generates every operation on {0, 1, 2}
+WEBB3 = op([(max(x, y) + 1) % 3 for x, y in THREE.tuples(2)], domain=THREE, name="webb")
 
 
 def closure_tables(generators, max_arity):
@@ -233,3 +253,70 @@ def test_essential_variables_random_cross_check():
 def test_essential_variables_rejects_nullary():
     with pytest.raises(ValueError):
         essential_variables(Operation(BOOL, 0, (0,)))
+
+
+def test_slices_match_the_closure_oracle():
+    # graph_relation, clone_contains and galois_check close only the arity
+    # they test; clone_closure's composition loop over every arity up to
+    # the bound is the oracle
+    rng = random.Random(53)
+    x_and_y_or_z = near_projection(random.Random(1), BOOL, 3)  # 10 ternary members
+    cases = [(list(gens), (1, 2)) for r in range(5) for gens in combinations((AND, OR, NOT, XOR), r)]
+    cases += [(gens, (1, 2)) for gens in ([MIN3], [SUC3], [PLUS3], [PLUS3, SUC3])]
+    cases += [(gens, (1, 2)) for gens in ([MAJ], [x_and_y_or_z], [MAJ, NOT])]  # generators above n
+    constants = [op((1,), arity=0), op((0,), arity=0, domain=THREE)]
+    nullary = [[constants[0]], [constants[0], AND], [constants[0], op((0,), arity=0)], [constants[1], SUC3]]
+    cases += [(gens, (0, 1, 2)) for gens in nullary]
+    for gens, arities in cases:
+        domain = gens[0].domain if gens else BOOL
+        ops = opset(gens, domain)
+        bound = max(2, ops.max_arity())
+        closed = clone_closure(ops, bound)
+        for n in arities:
+            want = {f.table for f in closed.arity_members(n)}
+            tables = list(product(domain.elements(), repeat=domain.size**n))
+            queries = tables if len(tables) <= 16 else rng.sample(tables, 16)
+            for f in [Operation(domain, n, t) for t in [*queries, *want]]:
+                assert clone_contains(ops, f, bound) == (f.table in want), (gens, n, f.table)
+            if n:
+                assert set(graph_relation(ops, n).tuples) == want, (gens, n)
+                assert {f.table for f in galois_check(ops, n, max_k=1).clone_ops} == want, (gens, n)
+
+
+def test_ternary_slices_match_posts_lattice():
+    # the sizes of the ternary parts of these boolean clones, from Post's
+    # lattice; closing every arity up to 3 at once does not finish on most
+    counts = [([AND], 7), ([NOT], 6), ([XOR], 8), ([XOR, NOT], 16), ([AND, OR], 18), ([AND, XOR], 128), ([MAJ], 4)]
+    counts.append(([AND, OR, NOT, XOR], 256))
+    for gens, count in counts:
+        assert len(graph_relation(opset(gens), 3)) == count, gens
+        assert len(galois_check(opset(gens), 3, max_k=1).clone_ops) == count, gens
+    # the majority is monotone and preserves 0, but is not affine
+    assert clone_contains(opset([AND, OR]), MAJ, 3) and clone_contains(opset([AND, XOR]), MAJ, 3)
+    assert not clone_contains(opset([XOR, NOT]), MAJ, 3)
+
+
+def test_slice_refusals():
+    bool_ops = opset([AND, OR, NOT, XOR])
+    small = Limits(max_closure=5)  # the binary slice of bool_ops has 16 members
+    for call in (
+        lambda: graph_relation(bool_ops, 2, limits=small),
+        lambda: clone_contains(bool_ops, AND, 2, limits=small),
+        lambda: galois_check(bool_ops, 2, limits=small),
+    ):
+        with pytest.raises(ResourceBoundError, match=r"^clone closure exceeds 5 operations$"):
+            call()
+    # the round guard counts only the row combinations holding a new tuple:
+    # 584 in the largest round here, against 3 * 16^2 + 16 for every one
+    assert len(graph_relation(bool_ops, 2, limits=Limits(max_candidates=584))) == 16
+    with pytest.raises(ResourceBoundError, match=r"^invariant closure round needs 584 candidates, cap is 583$"):
+        graph_relation(bool_ops, 2, limits=Limits(max_candidates=583))
+    # the binary slice of Webb's function holds all 19,683 tables
+    webb, tight = opset([WEBB3], THREE), Limits(max_candidates=100_000)
+    for call in (
+        lambda: graph_relation(webb, 2, limits=tight),
+        lambda: clone_contains(webb, WEBB3, 2, limits=tight),
+        lambda: galois_check(webb, 2, max_k=1, limits=tight),
+    ):
+        with pytest.raises(ResourceBoundError, match=r"^invariant closure round needs 2244368 candidates, cap is 100000$"):
+            call()

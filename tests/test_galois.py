@@ -32,6 +32,7 @@ from helpers import (
     op,
     opset,
     oracle_inv,
+    oracle_invariant_closure,
     oracle_pol,
     oracle_preserves,
     random_operation,
@@ -264,6 +265,20 @@ def test_invariant_closure_is_extensive_monotone_idempotent():
         assert got == set(invariant_closure(ops, got, 2).tuples)
         wider = seeds | {rng.choice(universe)}
         assert got <= set(invariant_closure(ops, wider, 2).tuples)
+
+
+def test_invariant_closure_matches_naive_oracle():
+    # the semi-naive rounds against the naive fixpoint, which applies every
+    # op to every row combination in every round
+    rng = random.Random(79)
+    for domain, arities in [(BOOL, (1, 2, 3)), (THREE, (1, 2))]:
+        universe = list(domain.tuples(max(arities)))
+        for _ in range(20):
+            ops = [random_operation(rng, domain, rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+            arity = rng.choice(arities)
+            seeds = [t[:arity] for t in rng.sample(universe, rng.randint(0, 3))]
+            got = invariant_closure(opset(ops, domain), seeds, arity)
+            assert got == oracle_invariant_closure(ops, seeds, arity, domain), (ops, seeds, arity)
 
 
 def test_limits_from_env(monkeypatch):
