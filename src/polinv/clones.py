@@ -11,12 +11,12 @@ arity up to a bound at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, filterfalse, product
 from typing import Iterable, Iterator, Sequence
 
-from .core import Operation, OperationSet, Relation, _check_count, compose, lookup_table, make_projection, row_images
+from .core import Operation, OperationSet, Relation, _check_count, lookup_table, make_projection, row_images
 from .errors import ResourceBoundError
-from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration
+from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration, _guard_materialize
 
 
 @dataclass(frozen=True)
@@ -76,55 +76,48 @@ def clone_closure(
 ) -> OperationSet:
     """Least composition-closed operation set of arity <= max_arity.
 
-    Seeded with every projection of arity 1..max_arity and the generators;
-    closed under compose(f, gs) for any member f and same-arity member
-    tuples gs whose common arity stays within the bound.  Fixpoint by
-    breadth-first rounds over a work set, deduplicating by table.
-    Nullary members come only from nullary generators: with none, the
-    arity-0 pool stays empty.
+    Seeded with every projection of arity 1..max_arity, then the
+    generators (the first name given to a table wins); closed under
+    compose(f, gs) for any member f and same-arity member tuples gs whose
+    common arity stays within the bound.  Fixpoint by breadth-first
+    rounds on value tables: each round applies every member f through
+    row_images to the table combinations of each arity's pool, skipping
+    those where neither f nor any g is new since the previous round, and
+    builds an Operation only for a table it does not hold yet.  Refuses
+    tables of more than max_materialize entries and a round of more than
+    max_candidates combinations.  Nullary members come only from nullary
+    generators: with none, the arity-0 pool stays empty.
     """
     _check_bound(generators, max_arity)
     domain = generators.domain
-
+    d = domain.size
+    _guard_materialize(d**max_arity, f"tables of arity {max_arity} hold {d**max_arity} entries", limits)
+    projections = (make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n))
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
-
-    def add(op: Operation) -> bool:
-        key = (op.arity, op.table)
-        if key in members:
-            return False
-        members[key] = op
-        return True
-
-    for n in range(1, max_arity + 1):
-        for i in range(n):
-            add(make_projection(domain, n, i))
-    for g in generators:
-        add(g)
+    for f in chain(projections, generators):
+        members.setdefault((f.arity, f.table), f)
 
     fresh = set(members)
     while fresh:
-        current = list(members.values())
-        by_arity: dict[int, list[Operation]] = {}
-        for op in current:
-            by_arity.setdefault(op.arity, []).append(op)
+        pools: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_arity + 1)}
+        for n, table in members:
+            pools[n].append(table)
+        combos = sum(len(pool) ** m for m, _ in members for pool in pools.values())
+        _guard_enumeration(combos, "clone closure round", limits)
+        fresh_tables = {n: {t for k, t in fresh if k == n} for n in pools}
         produced: set[tuple[int, tuple[int, ...]]] = set()
-        for f in current:
-            f_key = (f.arity, f.table)
-            f_fresh = f_key in fresh
-            for n in range(max_arity + 1):
-                pool = by_arity.get(n, [])
-                if f.arity > 0 and not pool:
-                    continue
-                for gs in product(pool, repeat=f.arity):
-                    if not f_fresh and all((g.arity, g.table) not in fresh for g in gs):
-                        continue  # composed in an earlier round
-                    h = compose(f, gs, arity=n)
-                    if add(h):
-                        produced.add((h.arity, h.table))
+        for m, f_table in list(members):
+            lookup = lookup_table(f_table, d, m)
+            for n, pool in pools.items():
+                gss: Iterable[tuple[tuple[int, ...], ...]] = product(pool, repeat=m)
+                if (m, f_table) not in fresh:  # skip what an earlier round composed
+                    gss = filterfalse(fresh_tables[n].isdisjoint, gss)
+                for table in row_images(lookup, gss, d**n):
+                    if (n, table) not in members:
+                        members[n, table] = Operation(domain, n, table)
+                        produced.add((n, table))
                         if len(members) > limits.max_closure:
-                            raise ResourceBoundError(
-                                f"clone closure exceeds {limits.max_closure} operations"
-                            )
+                            raise ResourceBoundError(f"clone closure exceeds {limits.max_closure} operations")
         fresh = produced
     return OperationSet(domain, tuple(members.values()))
 

@@ -66,6 +66,32 @@ def oracle_compose(f, gs, arity):
     return Operation(domain, arity, tuple(table))
 
 
+def oracle_clone_closure(generators, max_arity, domain):
+    """The clone closure by the naive fixpoint, as {(arity, table): name}:
+    seeded with the projections (named pr<i>_<n>), then the generators,
+    the first name of a table winning; each round composes every member
+    with every same-arity tuple of members by oracle_compose, until a
+    round adds nothing.  Composed members have no name."""
+    members = {}
+    for n in range(1, max_arity + 1):
+        for i in range(n):
+            members[n, tuple(t[i] for t in domain.tuples(n))] = f"pr{i}_{n}"
+    for g in generators:
+        members.setdefault((g.arity, g.table), g.name)
+    while True:
+        ops = [Operation(domain, arity, table) for arity, table in members]
+        made = {
+            (n, oracle_compose(f, gs, n).table)
+            for f in ops
+            for n in range(max_arity + 1)
+            for gs in product([g for g in ops if g.arity == n], repeat=f.arity)
+        }
+        if made <= members.keys():
+            return members
+        for key in made:
+            members.setdefault(key, "")
+
+
 def oracle_preserves(f, r):
     """Preservation unrolled directly from the definition."""
     tset = set(r.tuples)

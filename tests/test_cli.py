@@ -265,6 +265,11 @@ def test_resource_bounds_are_exit_3():
     code, _, err = run(["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"])
     assert code == 3
 
+    # the closure's third round would enumerate 939,113,757 (f, gs) pairs
+    code, out, err = run(["clone-gen", "--ops", BOOL_OPS, "--max-arity", "3"])
+    assert (code, out) == (3, "")
+    assert err == "error: clone closure round needs 939113757 candidates, cap is 10000000\n"
+
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("GALOIS_MAX_CANDIDATES", "10")

@@ -22,6 +22,7 @@ from helpers import (
     BOOL,
     IDENT,
     MAJ,
+    MINORITY,
     NOT,
     OR,
     THREE,
@@ -29,6 +30,7 @@ from helpers import (
     near_projection,
     op,
     opset,
+    oracle_clone_closure,
     oracle_compose,
     random_operation,
 )
@@ -144,6 +146,37 @@ def test_closure_generator_above_bound_rejected():
 def test_closure_size_cap():
     with pytest.raises(ResourceBoundError):
         clone_closure(opset([OR, NOT]), 2, limits=Limits(max_closure=5))
+
+
+def test_closure_round_and_table_caps():
+    # a round counts every (f, gs) pair it enumerates, sum of |pool_n|^arity(f)
+    for ops, max_arity, combos in ((opset([MIN3, SUC3], THREE), 2, 1812308752), (opset([AND, OR, NOT, XOR]), 3, 939113757)):
+        with pytest.raises(ResourceBoundError, match=rf"^clone closure round needs {combos} candidates, cap is 10000000$"):
+            clone_closure(ops, max_arity)
+    # every projection table is refused before one is built
+    with pytest.raises(ResourceBoundError, match=r"^tables of arity 17 hold 131072 entries, materialization cap is 65536$"):
+        clone_closure(opset([]), 17)
+    with pytest.raises(ResourceBoundError, match=r"^tables of arity 3 hold 27 entries, materialization cap is 26$"):
+        clone_closure(opset([SUC3], THREE), 3, limits=Limits(max_materialize=26))
+
+
+def test_closure_matches_the_naive_oracle():
+    # (domain, max_arity, random generators' top arity, how many at most):
+    # kept small enough for the naive fixpoint
+    settings = [(BOOL, 1, 1, 2), (BOOL, 2, 2, 2), (BOOL, 3, 1, 2), (THREE, 1, 1, 2), (THREE, 2, 1, 1)]
+    rng = random.Random(59)
+    for trial in range(40):
+        domain, max_arity, top, most = rng.choice(settings)
+        gens = [random_operation(rng, domain, rng.randint(0, top), name=f"g{i}") for i in range(rng.randint(0, most))]
+        if rng.random() < 0.3:
+            gens.append(random_operation(rng, domain, 0, name="c"))
+        if max_arity == 3 and rng.random() < 0.3:  # alone, each has few ternary members
+            gens = [rng.choice([AND, MAJ, MINORITY])]
+        if rng.random() < 0.5:  # a projection under another name
+            n = rng.randint(1, max_arity)
+            gens.append(make_projection(domain, n, rng.randrange(n), name="p"))
+        got = {(f.arity, f.table): f.name for f in clone_closure(opset(gens, domain), max_arity)}
+        assert got == oracle_clone_closure(opset(gens, domain), max_arity, domain), (trial, gens)
 
 
 def test_clone_contains_examples():
