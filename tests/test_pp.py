@@ -11,6 +11,7 @@ from polinv import (
     ResourceBoundError,
     eval_pp,
     is_pp_definable,
+    load_workspace,
     parse_pp,
     parse_pp_file,
     pol,
@@ -62,6 +63,52 @@ def test_parse_undeclared_variable_position():
     assert "undeclared" in str(err.value)
     assert err.value.line == 1
     assert err.value.column == 20
+
+
+# one row per error: parser, text, then the exact message, line and column
+PARSE_ERRORS = [
+    (parse_pp, "", "unexpected end of input, expected 'def'", 1, 1),
+    (parse_pp, "  \n\t ", "unexpected end of input, expected 'def'", 1, 1),
+    (parse_pp_file, "def a(x) := x = x\ndef b(x, y) :=\n  leq(x,", "unexpected end of input", 3, 9),
+    (parse_pp, "def f(x) := x = x &", "unexpected end of input", 1, 20),
+    (parse_pp, "def f(x) := x = x\n  % ", "unexpected character '%'", 2, 3),
+    (parse_pp, "def f(x) := 1", "unexpected character '1'", 1, 13),
+    (parse_pp, "def true(x) := x = x", "reserved word 'true' cannot be used as a formula name", 1, 5),
+    (parse_pp, "def f(x, exists) := x = x", "reserved word 'exists' cannot be used as a variable", 1, 10),
+    (parse_pp, "def f(x) := exists true . x = x", "reserved word 'true' cannot be used as a variable", 1, 20),
+    (parse_pp, "def f(x, y, x) := x = y", "duplicate variable declaration: x", 1, 13),
+    (parse_pp, "def f(x) := exists y, z, y . x = x", "duplicate variable declaration: y", 1, 26),
+    (parse_pp, "def f(x) := exists x . x = x", "duplicate variable declaration: x", 1, 20),
+    (parse_pp, "def f(x) := leq(x, z)", "undeclared variable: z", 1, 20),
+    (parse_pp, "def f(x) := z = x", "undeclared variable: z", 1, 13),
+    (parse_pp, "def f(x) := x = z", "undeclared variable: z", 1, 17),
+    (parse_pp, "def f(x) := x = x extra", "unexpected trailing input 'extra'", 1, 19),
+    (parse_pp, "def f(x) := leq & x = x", "expected '(' or '=' after name in atom", 1, 17),
+    (parse_pp, "def f(x) := leq", "expected '(' or '=' after name in atom", 1, 13),
+    (parse_pp, "f(x) := x = x", "expected 'def', found 'f'", 1, 1),
+    (parse_pp, "def f(x) = x = x", "expected ':=', found '='", 1, 10),
+    (parse_pp, "def f(,x) := x = x", "expected a variable, found ','", 1, 7),
+    (parse_pp, "def f(x) := exists y x = x", "expected '.', found 'x'", 1, 22),
+    (parse_pp, "def f(x) := (x)", "expected a relation name or variable, found '('", 1, 13),
+    (parse_pp_file, "def a(x) := x = x\n  b(x) := x = x", "expected 'def', found 'b'", 2, 3),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", PARSE_ERRORS)
+def test_parse_error_message_and_position(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+def test_formula_file_error_names_path_line_and_column(tmp_path):
+    data = tmp_path / "order.rel"
+    data.write_text("domain 2\nrel leq 2\n0 0\n0 1\n1 1\nend\n")
+    formulas = tmp_path / "bad.pp"
+    formulas.write_text("def ok(x) := x = x\n\ndef bad(x, y) :=\n    leq(x, w)\n")
+    with pytest.raises(ParseError) as err:
+        load_workspace([data, formulas])
+    assert str(err.value) == f"{formulas}:4:12: undeclared variable: w"
 
 
 def test_parse_rejects_reserved_words_and_duplicates():
