@@ -205,9 +205,9 @@ def clone_contains(
     which, nor op, may exceed max_arity.  Only op's arity is closed (see
     _clone_slice); a nullary op can only be a member when some generator
     is nullary."""
+    _check_bound(generators, max_arity)
     if op.arity > max_arity:
         raise ValueError(f"operation arity {op.arity} exceeds max_arity {max_arity}")
-    _check_bound(generators, max_arity)
     return op.domain == generators.domain and op.table in _clone_slice(generators, op.arity, limits)
 
 

@@ -322,7 +322,7 @@ class Partition:
 def make_projection(domain: Domain, arity: int, index: int, name: str | None = None) -> Operation:
     """The arity-ary projection onto the given coordinate."""
     _check_count(arity, "projection arity", 1)
-    if not 0 <= index < arity:
+    if type(index) is not int or not 0 <= index < arity:
         raise ValueError(f"projection index {index} out of range for arity {arity}")
     table = tuple(t[index] for t in domain.tuples(arity))
     return Operation(domain, arity, table, name=name if name is not None else f"pr{index}_{arity}")
@@ -336,6 +336,8 @@ def compose(f: Operation, gs: Sequence[Operation], arity: int | None = None) -> 
     f is nullary gs is empty and the result arity must be passed
     explicitly.
     """
+    if arity is not None:
+        _check_count(arity, "arity", 0)
     if len(gs) != f.arity:
         raise ValueError(f"operation of arity {f.arity} composed with {len(gs)} inner operations")
     for g in gs:

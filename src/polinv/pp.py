@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive between tokens):
 "def", "exists" and "true" are reserved words.  A body of "true" is the
 empty conjunction, so the formula defines the full relation on its free
 variables.
+
+Parsing is one regex pass that cuts the text into tokens, then recursive
+descent over them.  Every malformed text raises ParseError with the line
+and column of the first offending token.
 """
 
 from __future__ import annotations
@@ -105,177 +109,150 @@ class PPFormula:
         return head + body
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|:=|[(),.&=]")
-_SKIP_RE = re.compile(r"\s+")
+# One pattern scans the whole text: the group that matches says whether a
+# piece is a name, punctuation, whitespace or a stray character.
+_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>:=|[(),.&=])|(?P<space>\s+)|(?P<stray>.)")
+
+# (text, line, column, is_name), line and column counted from 1
+_Tok = tuple[str, int, int, bool]
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _error(message: str, tok: _Tok) -> ParseError:
+    return ParseError(message, line=tok[1], column=tok[2])
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[_Tok]:
+    """Every token of text in one pass; a stray character is an error."""
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        ws = _SKIP_RE.match(text, pos)
-        if ws:
-            chunk = ws.group()
-            newlines = chunk.count("\n")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            newlines = m.group().count("\n")
             if newlines:
                 line += newlines
-                line_start = ws.start() + chunk.rfind("\n") + 1
-            pos = ws.end()
+                line_start = m.start() + m.group().rfind("\n") + 1
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line=line, column=pos - line_start + 1
-            )
-        tokens.append(_Token(m.group(), line, pos - line_start + 1))
-        pos = m.end()
+        tok = (m.group(), line, m.start() - line_start + 1, kind == "name")
+        if kind == "stray":
+            raise _error(f"unexpected character {m.group()!r}", tok)
+        tokens.append(tok)
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
+def _declare(toks: list[_Tok], declared: set[str]) -> tuple[str, ...]:
+    """Add the variables of a head or exists list, refusing a repeat."""
+    for tok in toks:
+        if tok[0] in declared:
+            raise _error(f"duplicate variable declaration: {tok[0]}", tok)
+        declared.add(tok[0])
+    return tuple(tok[0] for tok in toks)
 
-    def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
 
-    def next(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self._tokens[-1] if self._tokens else None
-            raise ParseError(
-                f"unexpected end of input" + (f", expected {expected!r}" if expected else ""),
-                line=last.line if last else 1,
-                column=last.column + len(last.text) if last else 1,
-            )
-        if expected is not None and tok.text != expected:
-            raise ParseError(
-                f"expected {expected!r}, found {tok.text!r}", line=tok.line, column=tok.column
-            )
-        self._pos += 1
+def _use(toks: list[_Tok], declared: set[str]) -> tuple[str, ...]:
+    """The variables of an atom, each of which must be declared."""
+    for tok in toks:
+        if tok[0] not in declared:
+            raise _error(f"undeclared variable: {tok[0]}", tok)
+    return tuple(tok[0] for tok in toks)
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text, one formula at a time.
+
+    Each rule reports the first error it meets at the offending token; a
+    text that ends early is reported just past its last token, or at 1:1
+    when it has none.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> _Tok:
+        if self.pos == len(self.tokens):
+            text, line, column, _ = self.tokens[-1] if self.tokens else ("", 1, 1, False)
+            suffix = f", expected {expected!r}" if expected else ""
+            raise ParseError("unexpected end of input" + suffix, line=line, column=column + len(text))
+        tok = self.tokens[self.pos]
+        if expected is not None and tok[0] != expected:
+            raise _error(f"expected {expected!r}, found {tok[0]!r}", tok)
+        self.pos += 1
         return tok
 
+    def name(self, what: str) -> _Tok:
+        tok = self.take()
+        if not tok[3]:
+            raise _error(f"expected {what}, found {tok[0]!r}", tok)
+        if tok[0] in _KEYWORDS:
+            raise _error(f"reserved word {tok[0]!r} cannot be used as {what}", tok)
+        return tok
 
-def _expect_name(stream: _TokenStream, what: str) -> _Token:
-    tok = stream.next(None)
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
-        raise ParseError(f"expected {what}, found {tok.text!r}", line=tok.line, column=tok.column)
-    if tok.text in _KEYWORDS:
-        raise ParseError(
-            f"reserved word {tok.text!r} cannot be used as {what}", line=tok.line, column=tok.column
-        )
-    return tok
+    def names(self) -> list[_Tok]:
+        """varlist := VAR { "," VAR }"""
+        out = [self.name("a variable")]
+        while self.peek() == ",":
+            self.pos += 1
+            out.append(self.name("a variable"))
+        return out
 
-
-def _parse_varlist(stream: _TokenStream) -> list[_Token]:
-    out = [_expect_name(stream, "a variable")]
-    while stream.peek() is not None and stream.peek().text == ",":
-        stream.next(",")
-        out.append(_expect_name(stream, "a variable"))
-    return out
-
-
-def _parse_formula(stream: _TokenStream) -> PPFormula:
-    stream.next("def")
-    name = _expect_name(stream, "a formula name")
-    stream.next("(")
-    free = _parse_varlist(stream)
-    stream.next(")")
-    stream.next(":=")
-
-    declared: dict[str, _Token] = {}
-    for tok in free:
-        if tok.text in declared:
-            raise ParseError(
-                f"duplicate variable declaration: {tok.text}", line=tok.line, column=tok.column
-            )
-        declared[tok.text] = tok
-
-    nxt = stream.peek()
-    if nxt is not None and nxt.text == "true":
-        stream.next("true")
-        return PPFormula(name.text, tuple(t.text for t in free), (), ())
-
-    exist: list[_Token] = []
-    if nxt is not None and nxt.text == "exists":
-        stream.next("exists")
-        exist = _parse_varlist(stream)
-        stream.next(".")
-        for tok in exist:
-            if tok.text in declared:
-                raise ParseError(
-                    f"duplicate variable declaration: {tok.text}", line=tok.line, column=tok.column
-                )
-            declared[tok.text] = tok
-
-    atoms: list[Atom] = []
-    while True:
-        head = _expect_name(stream, "a relation name or variable")
-        nxt = stream.peek()
-        if nxt is not None and nxt.text == "(":
-            stream.next("(")
-            args = _parse_varlist(stream)
-            stream.next(")")
-            for tok in args:
-                if tok.text not in declared:
-                    raise ParseError(
-                        f"undeclared variable: {tok.text}", line=tok.line, column=tok.column
-                    )
-            atoms.append(RelationAtom(head.text, tuple(t.text for t in args)))
-        elif nxt is not None and nxt.text == "=":
-            stream.next("=")
-            rhs = _expect_name(stream, "a variable")
-            for tok in (head, rhs):
-                if tok.text not in declared:
-                    raise ParseError(
-                        f"undeclared variable: {tok.text}", line=tok.line, column=tok.column
-                    )
-            atoms.append(EqualityAtom(head.text, rhs.text))
-        else:
-            where = nxt if nxt is not None else head
-            raise ParseError(
-                "expected '(' or '=' after name in atom", line=where.line, column=where.column
-            )
-        nxt = stream.peek()
-        if nxt is not None and nxt.text == "&":
-            stream.next("&")
-            continue
-        break
-    return PPFormula(
-        name.text, tuple(t.text for t in free), tuple(t.text for t in exist), tuple(atoms)
-    )
+    def formula(self) -> PPFormula:
+        self.take("def")
+        name = self.name("a formula name")[0]
+        self.take("(")
+        free = self.names()
+        self.take(")")
+        self.take(":=")
+        declared: set[str] = set()
+        free_vars = _declare(free, declared)
+        if self.peek() == "true":
+            self.pos += 1
+            return PPFormula(name, free_vars, (), ())
+        exist_vars: tuple[str, ...] = ()
+        if self.peek() == "exists":
+            self.pos += 1
+            exist = self.names()
+            self.take(".")
+            exist_vars = _declare(exist, declared)
+        atoms: list[Atom] = []
+        while True:
+            head = self.name("a relation name or variable")
+            follow = self.peek()
+            if follow == "(":
+                self.pos += 1
+                args = self.names()
+                self.take(")")
+                atoms.append(RelationAtom(head[0], _use(args, declared)))
+            elif follow == "=":
+                self.pos += 1
+                atoms.append(EqualityAtom(*_use([head, self.name("a variable")], declared)))
+            else:
+                where = head if follow is None else self.tokens[self.pos]
+                raise _error("expected '(' or '=' after name in atom", where)
+            if self.peek() != "&":
+                return PPFormula(name, free_vars, exist_vars, tuple(atoms))
+            self.pos += 1
 
 
 def parse_pp(text: str) -> PPFormula:
     """Parse exactly one formula."""
-    stream = _TokenStream(_tokenize(text))
-    formula = _parse_formula(stream)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise ParseError(
-            f"unexpected trailing input {trailing.text!r}",
-            line=trailing.line,
-            column=trailing.column,
-        )
+    parser = _Parser(text)
+    formula = parser.formula()
+    if parser.peek() is not None:
+        trailing = parser.tokens[parser.pos]
+        raise _error(f"unexpected trailing input {trailing[0]!r}", trailing)
     return formula
 
 
 def parse_pp_file(text: str) -> tuple[PPFormula, ...]:
     """Parse a sequence of formulas (each starting with "def")."""
-    stream = _TokenStream(_tokenize(text))
+    parser = _Parser(text)
     out = []
-    while stream.peek() is not None:
-        out.append(_parse_formula(stream))
+    while parser.peek() is not None:
+        out.append(parser.formula())
     return tuple(out)
 
 
@@ -336,6 +313,8 @@ def eval_pp(formula: PPFormula, env: RelationSet, domain: Domain) -> Relation:
     whole domain."""
     named: dict[str, Relation] = {}
     for r in env:
+        if r.name in named:
+            raise ValueError(f"environment holds two relations named {r.name!r}")
         if r.name:
             named[r.name] = r
     if env and env.domain != domain:

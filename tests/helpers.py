@@ -9,12 +9,15 @@ different computations.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from polinv import (
     Domain,
     Operation,
     OperationSet,
+    ParseError,
     Partition,
     PPFormula,
     Relation,
@@ -162,6 +165,186 @@ def naive_eval_pp(formula, rels_by_name, domain):
         if ok:
             out.add(tuple(env[v] for v in free))
     return Relation(domain, len(free), tuple(out), name=formula.name)
+
+
+# -- the pp parser before its rewrite as one pass over token tuples -------
+# A separate skip regex, a token class and a stream class, with every
+# declaration and use check written inline; kept as the oracle that
+# parse_pp and parse_pp_file must agree with on outcome and position.
+
+_ORACLE_KEYWORDS = frozenset({"def", "exists", "true"})
+_ORACLE_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|:=|[(),.&=]")
+_ORACLE_SKIP_RE = re.compile(r"\s+")
+
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    column: int
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        ws = _ORACLE_SKIP_RE.match(text, pos)
+        if ws:
+            chunk = ws.group()
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                line_start = ws.start() + chunk.rfind("\n") + 1
+            pos = ws.end()
+            continue
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line=line, column=pos - line_start + 1
+            )
+        tokens.append(_Token(m.group(), line, pos - line_start + 1))
+        pos = m.end()
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek(self):
+        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+
+    def next(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            last = self._tokens[-1] if self._tokens else None
+            raise ParseError(
+                f"unexpected end of input" + (f", expected {expected!r}" if expected else ""),
+                line=last.line if last else 1,
+                column=last.column + len(last.text) if last else 1,
+            )
+        if expected is not None and tok.text != expected:
+            raise ParseError(
+                f"expected {expected!r}, found {tok.text!r}", line=tok.line, column=tok.column
+            )
+        self._pos += 1
+        return tok
+
+
+def _expect_name(stream, what):
+    tok = stream.next(None)
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        raise ParseError(f"expected {what}, found {tok.text!r}", line=tok.line, column=tok.column)
+    if tok.text in _ORACLE_KEYWORDS:
+        raise ParseError(
+            f"reserved word {tok.text!r} cannot be used as {what}", line=tok.line, column=tok.column
+        )
+    return tok
+
+
+def _parse_varlist(stream):
+    out = [_expect_name(stream, "a variable")]
+    while stream.peek() is not None and stream.peek().text == ",":
+        stream.next(",")
+        out.append(_expect_name(stream, "a variable"))
+    return out
+
+
+def _oracle_parse_formula(stream):
+    stream.next("def")
+    name = _expect_name(stream, "a formula name")
+    stream.next("(")
+    free = _parse_varlist(stream)
+    stream.next(")")
+    stream.next(":=")
+
+    declared = {}
+    for tok in free:
+        if tok.text in declared:
+            raise ParseError(
+                f"duplicate variable declaration: {tok.text}", line=tok.line, column=tok.column
+            )
+        declared[tok.text] = tok
+
+    nxt = stream.peek()
+    if nxt is not None and nxt.text == "true":
+        stream.next("true")
+        return PPFormula(name.text, tuple(t.text for t in free), (), ())
+
+    exist = []
+    if nxt is not None and nxt.text == "exists":
+        stream.next("exists")
+        exist = _parse_varlist(stream)
+        stream.next(".")
+        for tok in exist:
+            if tok.text in declared:
+                raise ParseError(
+                    f"duplicate variable declaration: {tok.text}", line=tok.line, column=tok.column
+                )
+            declared[tok.text] = tok
+
+    atoms = []
+    while True:
+        head = _expect_name(stream, "a relation name or variable")
+        nxt = stream.peek()
+        if nxt is not None and nxt.text == "(":
+            stream.next("(")
+            args = _parse_varlist(stream)
+            stream.next(")")
+            for tok in args:
+                if tok.text not in declared:
+                    raise ParseError(
+                        f"undeclared variable: {tok.text}", line=tok.line, column=tok.column
+                    )
+            atoms.append(RelationAtom(head.text, tuple(t.text for t in args)))
+        elif nxt is not None and nxt.text == "=":
+            stream.next("=")
+            rhs = _expect_name(stream, "a variable")
+            for tok in (head, rhs):
+                if tok.text not in declared:
+                    raise ParseError(
+                        f"undeclared variable: {tok.text}", line=tok.line, column=tok.column
+                    )
+            atoms.append(EqualityAtom(head.text, rhs.text))
+        else:
+            where = nxt if nxt is not None else head
+            raise ParseError(
+                "expected '(' or '=' after name in atom", line=where.line, column=where.column
+            )
+        nxt = stream.peek()
+        if nxt is not None and nxt.text == "&":
+            stream.next("&")
+            continue
+        break
+    return PPFormula(
+        name.text, tuple(t.text for t in free), tuple(t.text for t in exist), tuple(atoms)
+    )
+
+
+def oracle_parse_pp(text):
+    """parse_pp by the parser it replaced."""
+    stream = _TokenStream(_oracle_tokenize(text))
+    formula = _oracle_parse_formula(stream)
+    trailing = stream.peek()
+    if trailing is not None:
+        raise ParseError(
+            f"unexpected trailing input {trailing.text!r}",
+            line=trailing.line,
+            column=trailing.column,
+        )
+    return formula
+
+
+def oracle_parse_pp_file(text):
+    """parse_pp_file by the parser it replaced."""
+    stream = _TokenStream(_oracle_tokenize(text))
+    out = []
+    while stream.peek() is not None:
+        out.append(_oracle_parse_formula(stream))
+    return tuple(out)
 
 
 def oracle_least_invariant_superset(r, rels):

@@ -191,6 +191,11 @@ def test_clone_contains_arity_above_bound_rejected():
         clone_contains(opset([AND]), Operation(BOOL, 3, tuple([0] * 8)), 2)
 
 
+def test_clone_contains_checks_the_bound_before_the_operation():
+    with pytest.raises(ValueError, match="^max_arity must be a positive integer, got True$"):
+        clone_contains(opset([]), AND, True)
+
+
 def test_operation_set_deduplicates_by_table():
     s = OperationSet(BOOL, (AND, AND.renamed("conj"), NOT))
     assert len(s) == 2

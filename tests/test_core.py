@@ -100,6 +100,12 @@ def test_make_projection_rejects_bad_index():
         make_projection(BOOL, 0, 0)
 
 
+def test_make_projection_refuses_an_index_that_is_not_an_int():
+    for index in (True, False, 1.0, "0"):
+        with pytest.raises(ValueError, match=f"^projection index {index} out of range for arity 2$"):
+            make_projection(BOOL, 2, index)
+
+
 def test_projection_is_identity_on_its_argument():
     rng = random.Random(7)
     for _ in range(50):
@@ -133,6 +139,15 @@ def test_compose_arity_mismatch_rejected():
         compose(AND, [NOT], 1)
     with pytest.raises(ValueError):
         compose(AND, [NOT, make_projection(BOOL, 2, 0)], 2)
+
+
+def test_compose_refuses_an_explicit_arity_that_is_not_a_count():
+    zero = Operation(BOOL, 0, (0,), name="c0")
+    for arity in (-1, 1.5, "2", True):
+        with pytest.raises(ValueError, match=f"^arity must be a nonnegative integer, got {arity!r}$"):
+            compose(zero, [], arity)
+    with pytest.raises(ValueError, match="^arity must be a nonnegative integer, got True$"):
+        compose(NOT, [NOT], True)
 
 
 def test_compose_matches_pointwise_oracle():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -28,6 +29,8 @@ from helpers import (
     NEQ,
     THREE,
     naive_eval_pp,
+    oracle_parse_pp,
+    oracle_parse_pp_file,
     oracle_pp_closure_of,
     random_formula,
     random_relation,
@@ -109,6 +112,56 @@ def test_formula_file_error_names_path_line_and_column(tmp_path):
     with pytest.raises(ParseError) as err:
         load_workspace([data, formulas])
     assert str(err.value) == f"{formulas}:4:12: undeclared variable: w"
+
+
+# pieces for the fuzzer: whole tokens (reserved words included), a stray
+# ':' and '%', and whitespace that moves the line and column
+SOUP = ["def", "exists", "true", "x", "y", "z", "leq", "_a1", "(", ")", ",", ".", "&", "=", ":=",
+        ":", "%", " ", " ", "\n", "\t"]
+MUTANT_CHARS = "xyz_q1(),.&=:% \n\t"
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except ParseError as exc:
+        return "error", exc.message, exc.line, exc.column
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3) if i < len(chars) else 2
+        if edit == 0:
+            del chars[i]
+        elif edit == 1:
+            chars[i] = rng.choice(MUTANT_CHARS)
+        else:
+            chars.insert(i, rng.choice(MUTANT_CHARS))
+    return "".join(chars)
+
+
+def test_parser_matches_the_oracle_on_fuzzed_text():
+    # token soups after growing prefixes of a head, so they reach every rule, and
+    # 1-3 character edits of one or two valid formulas; both entry points
+    # must give the same formulas, or the same message at the same place
+    rng = random.Random(113)
+    kinds = set()
+    for i in range(4000):
+        if i % 2:
+            text = ("", "def ", "def f(", "def f(x, y) := ")[i // 2 % 4] + "".join(
+                rng.choice(SOUP) for _ in range(rng.randint(0, 12))
+            )
+        else:
+            formulas = [random_formula(rng, BOOL, ENV_BY_NAME).to_text() for _ in range(rng.randint(1, 2))]
+            text = _mutate(rng, "\n".join(formulas))
+        for parse, oracle in ((parse_pp, oracle_parse_pp), (parse_pp_file, oracle_parse_pp_file)):
+            got = _outcome(parse, text)
+            assert got == _outcome(oracle, text), text
+            kinds.add(got[0] if got[0] == "parsed" else re.sub(r"'.*?'|: \w+$", "_", got[1]))
+    # success and all 14 kinds of error, token texts and names blanked
+    assert len(kinds) == 15, sorted(kinds)
 
 
 def test_parse_rejects_reserved_words_and_duplicates():
@@ -207,6 +260,16 @@ def test_eval_refuses_an_environment_over_another_domain():
     with pytest.raises(ValueError, match="^environment relation over a different domain$"):
         eval_pp(phi, ENV, THREE)
     assert eval_pp(phi, relation_set([]), THREE) == Relation.full(THREE, 1)
+
+
+def test_eval_refuses_two_environment_relations_of_one_name():
+    phi = parse_pp("def f(x, y) := r(x, y)")
+    low, high = Relation(BOOL, 2, ((0, 0),), name="r"), Relation(BOOL, 2, ((1, 1),), name="r")
+    for env in (relation_set([low, high]), relation_set([high, low])):
+        with pytest.raises(ValueError, match="^environment holds two relations named 'r'$"):
+            eval_pp(phi, env, BOOL)
+    # unnamed relations are never looked up, so they may repeat
+    assert eval_pp(phi, relation_set([low, high.renamed(""), NEQ.renamed("")]), BOOL) == low.renamed("f")
 
 
 def test_eval_matches_naive_oracle():
