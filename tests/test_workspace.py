@@ -115,3 +115,66 @@ def test_bad_tuple_width_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         load_workspace([wide])
     assert "arity" in str(err.value)
+
+
+# one row per load: the files (name -> text, loaded in sorted name order),
+# then the exact error text and line
+DATA_ERRORS = [
+    ({"a.ops": "\n\n"}, "a.ops:1: empty file", 1),
+    ({"a.ops": "op f 1\n0 1\n"}, "a.ops:1: expected 'domain N' header", 1),
+    ({"a.ops": "domain 2 2\n"}, "a.ops:1: expected 'domain N' header", 1),
+    ({"a.ops": "domain x\n"}, "a.ops:1: domain size must be a nonnegative integer, got 'x'", 1),
+    ({"a.ops": "domain -1\n"}, "a.ops:1: domain size must be a nonnegative integer, got '-1'", 1),
+    ({"a.ops": "domain 2\n\ndomain 2\n"}, "a.ops:3: duplicate 'domain' header", 3),
+    ({"a.ops": "domain 2\nfrob f 1\n"}, "a.ops:2: unknown directive 'frob'", 2),
+    ({"a.ops": "domain 2\nop\n"}, "a.ops:2: expected 'op NAME ARITY'", 2),
+    ({"a.ops": "domain 2\nop f\n"}, "a.ops:2: expected 'op NAME ARITY'", 2),
+    ({"a.ops": "domain 2\nop f 1 2\n"}, "a.ops:2: expected 'op NAME ARITY'", 2),
+    ({"a.rel": "domain 2\nrel\n"}, "a.rel:2: expected 'rel NAME ARITY'", 2),
+    ({"a.rel": "domain 2\nrel r\n"}, "a.rel:2: expected 'rel NAME ARITY'", 2),
+    ({"a.rel": "domain 2\nrel r 1 2\n"}, "a.rel:2: expected 'rel NAME ARITY'", 2),
+    ({"a.ops": "domain 2\nop 1f 1\n0 1\n"}, "a.ops:2: bad name '1f'", 2),
+    ({"a.rel": "domain 2\nrel r-s 1\n0\nend\n"}, "a.rel:2: bad name 'r-s'", 2),
+    ({"a.ops": "domain 2\nop f x\n"}, "a.ops:2: arity must be a nonnegative integer, got 'x'", 2),
+    ({"a.rel": "domain 2\nrel r -1\n"}, "a.rel:2: arity must be a nonnegative integer, got '-1'", 2),
+    # a file that ends early is reported at its last line, blank lines counted
+    ({"a.ops": "domain 2\n\nop AND 2\n0 0 0\n\n\n"}, "a.ops:6: table for AND needs 4 entries, file ended after 3", 6),
+    ({"a.ops": "domain 2\nop f 1\n0\n1 0\n"}, "a.ops:4: table for f needs 2 entries, got 3", 4),
+    ({"a.ops": "domain 2\nop f 1\n0 one\n"}, "a.ops:3: table entry must be a nonnegative integer, got 'one'", 3),
+    ({"a.rel": "domain 2\nrel r 0\nend\n"}, "a.rel:2: relation arity in files must be at least 1", 2),
+    ({"a.rel": "domain 2\nrel r 2\n0 0\n1\nend\n"}, "a.rel:4: tuple has 1 entries, relation r has arity 2", 4),
+    ({"a.rel": "domain 2\nrel r 2\n0 0\n1 x\nend\n"}, "a.rel:4: tuple entry must be a nonnegative integer, got 'x'", 4),
+    ({"a.rel": "domain 2\nrel r 1\n0\n\n\n"}, "a.rel:5: relation r not terminated by 'end'", 5),
+    # a value outside the domain is reported at the block's header
+    ({"a.ops": "domain 2\n\nop f 1\n0 2\n"}, "a.ops:3: table contains 2, not a domain element of size 2", 3),
+    (
+        {"a.rel": "domain 2\nrel r 1\n0\n\nend\nrel s 2\n0 2\nend\n"},
+        "a.rel:6: tuple (0, 2) contains 2, not a domain element of size 2",
+        6,
+    ),
+    (
+        {"a.ops": "domain 2\nop f 1\n0 1\n", "b.ops": "domain 3\nop g 1\n0 1 2\n"},
+        "b.ops: domain 3 conflicts with domain 2 from a.ops",
+        None,
+    ),
+    (
+        {"a.ops": "domain 2\nop f 1\n0 1\n", "b.ops": "domain 2\n\nop g 1\n0 0\nop f 1\n1 0\n"},
+        "b.ops:5: duplicate operation name 'f'",
+        5,
+    ),
+    (
+        {"a.rel": "domain 2\nrel r 1\n0\nend\n", "b.rel": "domain 2\nrel r 1\n1\nend\n"},
+        "b.rel:2: duplicate relation name 'r'",
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("files, message, line", DATA_ERRORS)
+def test_data_file_error_text_and_line(tmp_path, monkeypatch, files, message, line):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_workspace(list(files))
+    assert (str(err.value), err.value.line) == (message, line)
