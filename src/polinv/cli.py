@@ -106,7 +106,7 @@ def _cmd_ppeval(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str
     phi = ws.formulas_by_name.get(args.name)
     if phi is None:
         raise ValueError(f"no formula named {args.name!r} in the loaded files")
-    result = eval_pp(phi, ws.relations, ws.domain)
+    result = eval_pp(phi, ws.rels_by_name.values(), ws.domain)
     lines = [_format_rel(phi.name, result)]
     summary = f"ppeval domain={ws.domain.size} name={phi.name} arity={result.arity} count={len(result)}"
     return summary, lines
@@ -117,7 +117,7 @@ def _cmd_ppdef(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]
     target = ws.rels_by_name.get(args.target)
     if target is None:
         raise ValueError(f"no relation named {args.target!r} in the loaded files")
-    others = RelationSet(ws.domain, tuple(r for r in ws.relations if r.name != args.target))
+    others = RelationSet(ws.domain, tuple(r for n, r in ws.rels_by_name.items() if n != args.target))
     closure = pp_closure_of(target, others, limits=limits)
     if closure == target:
         lines = ["definable : yes"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .core import Domain, Operation, Relation, RelationSet, lookup_table, row_images
 from .errors import ParseError
@@ -236,6 +236,11 @@ class _Parser:
                 return PPFormula(name, free_vars, exist_vars, tuple(atoms))
             self.pos += 1
 
+    def formulas(self) -> Iterator[tuple[int, PPFormula]]:
+        """Each formula to the end of the text, with the line of its "def"."""
+        while self.pos < len(self.tokens):
+            yield self.tokens[self.pos][1], self.formula()
+
 
 def parse_pp(text: str) -> PPFormula:
     """Parse exactly one formula."""
@@ -249,11 +254,7 @@ def parse_pp(text: str) -> PPFormula:
 
 def parse_pp_file(text: str) -> tuple[PPFormula, ...]:
     """Parse a sequence of formulas (each starting with "def")."""
-    parser = _Parser(text)
-    out = []
-    while parser.peek() is not None:
-        out.append(parser.formula())
-    return tuple(out)
+    return tuple(phi for _, phi in _Parser(text).formulas())
 
 
 def _atom_table(
@@ -307,18 +308,19 @@ def _join(
     return lvars + [rvars[j] for j in extra], out
 
 
-def eval_pp(formula: PPFormula, env: RelationSet, domain: Domain) -> Relation:
+def eval_pp(formula: PPFormula, env: Iterable[Relation], domain: Domain) -> Relation:
     """Evaluate by joining atoms left to right, then projecting onto the
     free variables.  Free variables constrained by no atom range over the
-    whole domain."""
+    whole domain.  env is any iterable of relations, a RelationSet among
+    them; atoms look its members up by name."""
     named: dict[str, Relation] = {}
     for r in env:
+        if r.domain != domain:
+            raise ValueError("environment relation over a different domain")
         if r.name in named:
             raise ValueError(f"environment holds two relations named {r.name!r}")
         if r.name:
             named[r.name] = r
-    if env and env.domain != domain:
-        raise ValueError("environment relation over a different domain")
     vars_cur: list[str] = []
     rows_cur: set[tuple[int, ...]] = {()}
     for atom in formula.atoms:

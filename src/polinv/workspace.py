@@ -15,21 +15,29 @@ One "domain d" header per file; "op NAME ARITY" is followed by d^ARITY
 whitespace-separated table entries (line breaks free), "rel NAME ARITY"
 by one tuple per line until "end".  A file whose first word is "def" is
 a formula file in the pp grammar instead.  Names are unique per kind
-across all loaded files and every file must declare the same domain.
+across all loaded files, and every file must declare the same domain.
+
+Each file is read in one walk over its nonblank lines and turned into
+(kind, name, value, line) items; one check then refuses a name defined
+twice, naming the file and the line of the second definition.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence, Union
 
 from .core import Domain, Operation, OperationSet, Relation, RelationSet
 from .errors import ParseError, ResourceBoundError
 from .limits import DEFAULT_LIMITS, Limits
-from .pp import PPFormula, parse_pp_file
+from .pp import PPFormula, _Parser
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_KINDS = {"op": "operation", "rel": "relation"}
+
+# kind ("operation", "relation" or "formula"), name, value, line
+_Item = tuple[str, str, Union[Operation, Relation, PPFormula], int]
 
 
 @dataclass(frozen=True)
@@ -43,169 +51,114 @@ class Workspace:
     formulas_by_name: dict[str, PPFormula] = field(compare=False)
 
 
-def _parse_int(token: str, what: str, path: str, line: int) -> int:
-    if not re.fullmatch(r"\d+", token):
-        raise ParseError(f"{what} must be a nonnegative integer, got {token!r}", source=path, line=line)
-    return int(token)
+def _nonblank(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number from 1, words) for each line holding a word."""
+    for number, line in enumerate(lines, 1):
+        words = line.split()
+        if words:
+            yield number, words
 
 
-class _DataFileParser:
-    def __init__(self, path: str, text: str) -> None:
-        self.path = path
-        self.lines = text.splitlines()
-        self.pos = 0
-        self.domain: Domain | None = None
-        self.ops: list[tuple[str, Operation, int]] = []  # name, op, line
-        self.rels: list[tuple[str, Relation, int]] = []
+def _parse_data_file(path: str, text: str) -> tuple[Domain, list[_Item]]:
+    """The domain of one data file and its operations and relations, in
+    file order.  A block cut short by the end of the file is reported at
+    the file's last line, blank lines counted."""
+    lines = text.splitlines()
+    rows = _nonblank(lines)
 
-    def _next_line(self) -> tuple[int, str] | None:
-        while self.pos < len(self.lines):
-            self.pos += 1
-            stripped = self.lines[self.pos - 1].strip()
-            if stripped:
-                return self.pos, stripped
-        return None
+    def fail(message: str, line: int = len(lines)) -> ParseError:
+        return ParseError(message, source=path, line=line)
 
-    def run(self) -> None:
-        first = self._next_line()
-        if first is None:
-            raise ParseError("empty file", source=self.path, line=1)
-        lineno, text = first
-        parts = text.split()
-        if parts[0] != "domain" or len(parts) != 2:
-            raise ParseError("expected 'domain N' header", source=self.path, line=lineno)
-        size = _parse_int(parts[1], "domain size", self.path, lineno)
-        self.domain = Domain(size)
-        while (entry := self._next_line()) is not None:
-            lineno, text = entry
-            parts = text.split()
-            if parts[0] == "op":
-                self._parse_op(parts, lineno)
-            elif parts[0] == "rel":
-                self._parse_rel(parts, lineno)
-            elif parts[0] == "domain":
-                raise ParseError("duplicate 'domain' header", source=self.path, line=lineno)
+    def number(word: str, what: str, line: int) -> int:
+        if not re.fullmatch(r"\d+", word):
+            raise fail(f"{what} must be a nonnegative integer, got {word!r}", line)
+        return int(word)
+
+    line, words = next(rows, (1, None))
+    if words is None:
+        raise fail("empty file", line)
+    if words[0] != "domain" or len(words) != 2:
+        raise fail("expected 'domain N' header", line)
+    domain = Domain(number(words[1], "domain size", line))
+    items: list[_Item] = []
+    for line, (kind, *header) in rows:
+        if kind not in _KINDS:
+            raise fail("duplicate 'domain' header" if kind == "domain" else f"unknown directive {kind!r}", line)
+        if len(header) != 2:
+            raise fail(f"expected '{kind} NAME ARITY'", line)
+        name = header[0]
+        if not _NAME_RE.match(name):
+            raise fail(f"bad name {name!r}", line)
+        arity = number(header[1], "arity", line)
+        body: list = []
+        if kind == "op":
+            need = domain.size**arity
+            while len(body) < need:
+                at, words = next(rows, (None, None))
+                if words is None:
+                    raise fail(f"table for {name} needs {need} entries, file ended after {len(body)}")
+                body += (number(w, "table entry", at) for w in words)
+                if len(body) > need:
+                    raise fail(f"table for {name} needs {need} entries, got {len(body)}", at)
+        else:
+            if arity < 1:
+                raise fail("relation arity in files must be at least 1", line)
+            for at, words in rows:
+                if words == ["end"]:
+                    break
+                if len(words) != arity:
+                    raise fail(f"tuple has {len(words)} entries, relation {name} has arity {arity}", at)
+                body.append(tuple(number(w, "tuple entry", at) for w in words))
             else:
-                raise ParseError(f"unknown directive {parts[0]!r}", source=self.path, line=lineno)
-
-    def _require_name(self, token: str, lineno: int) -> str:
-        if not _NAME_RE.match(token):
-            raise ParseError(f"bad name {token!r}", source=self.path, line=lineno)
-        return token
-
-    def _parse_op(self, parts: list[str], lineno: int) -> None:
-        if len(parts) != 3:
-            raise ParseError("expected 'op NAME ARITY'", source=self.path, line=lineno)
-        name = self._require_name(parts[1], lineno)
-        arity = _parse_int(parts[2], "arity", self.path, lineno)
-        need = self.domain.size**arity
-        entries: list[int] = []
-        while len(entries) < need:
-            entry = self._next_line()
-            if entry is None:
-                raise ParseError(
-                    f"table for {name} needs {need} entries, file ended after {len(entries)}",
-                    source=self.path,
-                    line=len(self.lines),
-                )
-            elineno, text = entry
-            for token in text.split():
-                entries.append(_parse_int(token, "table entry", self.path, elineno))
-            if len(entries) > need:
-                raise ParseError(
-                    f"table for {name} needs {need} entries, got {len(entries)}",
-                    source=self.path,
-                    line=elineno,
-                )
+                raise fail(f"relation {name} not terminated by 'end'")
         try:
-            op = Operation(self.domain, arity, tuple(entries), name=name)
+            value = (Operation if kind == "op" else Relation)(domain, arity, tuple(body), name=name)
         except ValueError as exc:
-            raise ParseError(str(exc), source=self.path, line=lineno) from exc
-        self.ops.append((name, op, lineno))
-
-    def _parse_rel(self, parts: list[str], lineno: int) -> None:
-        if len(parts) != 3:
-            raise ParseError("expected 'rel NAME ARITY'", source=self.path, line=lineno)
-        name = self._require_name(parts[1], lineno)
-        arity = _parse_int(parts[2], "arity", self.path, lineno)
-        if arity < 1:
-            raise ParseError("relation arity in files must be at least 1", source=self.path, line=lineno)
-        tuples: list[tuple[int, ...]] = []
-        while True:
-            entry = self._next_line()
-            if entry is None:
-                raise ParseError(
-                    f"relation {name} not terminated by 'end'", source=self.path, line=len(self.lines)
-                )
-            elineno, text = entry
-            if text.strip() == "end":
-                break
-            tokens = text.split()
-            if len(tokens) != arity:
-                raise ParseError(
-                    f"tuple has {len(tokens)} entries, relation {name} has arity {arity}",
-                    source=self.path,
-                    line=elineno,
-                )
-            tuples.append(tuple(_parse_int(t, "tuple entry", self.path, elineno) for t in tokens))
-        try:
-            rel = Relation(self.domain, arity, tuple(tuples), name=name)
-        except ValueError as exc:
-            raise ParseError(str(exc), source=self.path, line=lineno) from exc
-        self.rels.append((name, rel, lineno))
+            raise fail(str(exc), line) from exc
+        items.append((_KINDS[kind], name, value, line))
+    return domain, items
 
 
-def _is_formula_file(text: str) -> bool:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped:
-            return stripped.split()[0] == "def" or stripped.startswith("def(")
-    return False
+def _parse_formula_file(path: str, text: str) -> list[_Item]:
+    """The formulas of one file, each at the line of its "def"."""
+    try:
+        return [("formula", phi.name, phi, line) for line, phi in _Parser(text).formulas()]
+    except ParseError as exc:
+        raise ParseError(exc.message, source=path, line=exc.line, column=exc.column) from exc
 
 
 def load_workspace(paths: Sequence[str], *, limits: Limits = DEFAULT_LIMITS) -> Workspace:
     """Parse and merge the given files; order-independent by construction
-    (files are processed in sorted path order and names must not clash)."""
-    ops_by_name: dict[str, Operation] = {}
-    rels_by_name: dict[str, Relation] = {}
-    formulas_by_name: dict[str, PPFormula] = {}
+    (files are processed in sorted path order and names must not clash).
+    A malformed file, a domain conflict or a name defined twice raises
+    ParseError naming the file and, where there is one, the line."""
+    by_name: dict[str, dict] = {"operation": {}, "relation": {}, "formula": {}}
     domain: Domain | None = None
     domain_source: str | None = None
     for path in sorted(str(p) for p in paths):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        if _is_formula_file(text):
-            try:
-                formulas = parse_pp_file(text)
-            except ParseError as exc:
-                raise ParseError(exc.message, source=path, line=exc.line, column=exc.column) from exc
-            for phi in formulas:
-                if phi.name in formulas_by_name:
-                    raise ParseError(f"duplicate formula name {phi.name!r}", source=path)
-                formulas_by_name[phi.name] = phi
-            continue
-        parser = _DataFileParser(path, text)
-        parser.run()
-        if domain is None:
-            domain = parser.domain
-            domain_source = path
-        elif parser.domain != domain:
-            raise ParseError(
-                f"domain {parser.domain.size} conflicts with domain {domain.size} from {domain_source}",
-                source=path,
-            )
-        for name, op, lineno in parser.ops:
-            if name in ops_by_name:
-                raise ParseError(f"duplicate operation name {name!r}", source=path, line=lineno)
-            ops_by_name[name] = op
-        for name, rel, lineno in parser.rels:
-            if name in rels_by_name:
-                raise ParseError(f"duplicate relation name {name!r}", source=path, line=lineno)
-            rels_by_name[name] = rel
+        first = (text.split(None, 1) or [""])[0]
+        if first == "def" or first.startswith("def("):
+            items = _parse_formula_file(path, text)
+        else:
+            file_domain, items = _parse_data_file(path, text)
+            if domain is None:
+                domain, domain_source = file_domain, path
+            elif file_domain != domain:
+                raise ParseError(
+                    f"domain {file_domain.size} conflicts with domain {domain.size} from {domain_source}",
+                    source=path,
+                )
+        for kind, name, value, line in items:
+            if name in by_name[kind]:
+                raise ParseError(f"duplicate {kind} name {name!r}", source=path, line=line)
+            by_name[kind][name] = value
     if domain is None:
         raise ParseError("no data file declared a domain")
     if domain.size > limits.max_domain:
         raise ResourceBoundError(f"domain size {domain.size} exceeds cap {limits.max_domain}")
+    ops_by_name, rels_by_name, formulas_by_name = by_name.values()
     return Workspace(
         domain=domain,
         operations=OperationSet(domain, tuple(ops_by_name.values())),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from polinv import (
+    DEFAULT_LIMITS,
     Domain,
     Operation,
     OperationSet,
@@ -22,6 +23,8 @@ from polinv import (
     PPFormula,
     Relation,
     RelationSet,
+    ResourceBoundError,
+    Workspace,
     EqualityAtom,
     RelationAtom,
     all_partitions,
@@ -345,6 +348,189 @@ def oracle_parse_pp_file(text):
     while stream.peek() is not None:
         out.append(_oracle_parse_formula(stream))
     return tuple(out)
+
+
+# -- the data-file loader before its rewrite as one line walk ------------
+# A parser class with one method per block kind, each repeating the header
+# shape, name and arity checks, and one duplicate-name check per kind in
+# the merge; kept as the oracle that load_workspace must agree with.
+
+_ORACLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _oracle_parse_int(token, what, path, line):
+    if not re.fullmatch(r"\d+", token):
+        raise ParseError(f"{what} must be a nonnegative integer, got {token!r}", source=path, line=line)
+    return int(token)
+
+
+class _OracleDataFileParser:
+    def __init__(self, path, text):
+        self.path = path
+        self.lines = text.splitlines()
+        self.pos = 0
+        self.domain = None
+        self.ops = []  # name, op, line
+        self.rels = []
+
+    def _next_line(self):
+        while self.pos < len(self.lines):
+            self.pos += 1
+            stripped = self.lines[self.pos - 1].strip()
+            if stripped:
+                return self.pos, stripped
+        return None
+
+    def run(self):
+        first = self._next_line()
+        if first is None:
+            raise ParseError("empty file", source=self.path, line=1)
+        lineno, text = first
+        parts = text.split()
+        if parts[0] != "domain" or len(parts) != 2:
+            raise ParseError("expected 'domain N' header", source=self.path, line=lineno)
+        size = _oracle_parse_int(parts[1], "domain size", self.path, lineno)
+        self.domain = Domain(size)
+        while (entry := self._next_line()) is not None:
+            lineno, text = entry
+            parts = text.split()
+            if parts[0] == "op":
+                self._parse_op(parts, lineno)
+            elif parts[0] == "rel":
+                self._parse_rel(parts, lineno)
+            elif parts[0] == "domain":
+                raise ParseError("duplicate 'domain' header", source=self.path, line=lineno)
+            else:
+                raise ParseError(f"unknown directive {parts[0]!r}", source=self.path, line=lineno)
+
+    def _require_name(self, token, lineno):
+        if not _ORACLE_NAME_RE.match(token):
+            raise ParseError(f"bad name {token!r}", source=self.path, line=lineno)
+        return token
+
+    def _parse_op(self, parts, lineno):
+        if len(parts) != 3:
+            raise ParseError("expected 'op NAME ARITY'", source=self.path, line=lineno)
+        name = self._require_name(parts[1], lineno)
+        arity = _oracle_parse_int(parts[2], "arity", self.path, lineno)
+        need = self.domain.size**arity
+        entries = []
+        while len(entries) < need:
+            entry = self._next_line()
+            if entry is None:
+                raise ParseError(
+                    f"table for {name} needs {need} entries, file ended after {len(entries)}",
+                    source=self.path,
+                    line=len(self.lines),
+                )
+            elineno, text = entry
+            for token in text.split():
+                entries.append(_oracle_parse_int(token, "table entry", self.path, elineno))
+            if len(entries) > need:
+                raise ParseError(
+                    f"table for {name} needs {need} entries, got {len(entries)}",
+                    source=self.path,
+                    line=elineno,
+                )
+        try:
+            op = Operation(self.domain, arity, tuple(entries), name=name)
+        except ValueError as exc:
+            raise ParseError(str(exc), source=self.path, line=lineno) from exc
+        self.ops.append((name, op, lineno))
+
+    def _parse_rel(self, parts, lineno):
+        if len(parts) != 3:
+            raise ParseError("expected 'rel NAME ARITY'", source=self.path, line=lineno)
+        name = self._require_name(parts[1], lineno)
+        arity = _oracle_parse_int(parts[2], "arity", self.path, lineno)
+        if arity < 1:
+            raise ParseError("relation arity in files must be at least 1", source=self.path, line=lineno)
+        tuples = []
+        while True:
+            entry = self._next_line()
+            if entry is None:
+                raise ParseError(
+                    f"relation {name} not terminated by 'end'", source=self.path, line=len(self.lines)
+                )
+            elineno, text = entry
+            if text.strip() == "end":
+                break
+            tokens = text.split()
+            if len(tokens) != arity:
+                raise ParseError(
+                    f"tuple has {len(tokens)} entries, relation {name} has arity {arity}",
+                    source=self.path,
+                    line=elineno,
+                )
+            tuples.append(tuple(_oracle_parse_int(t, "tuple entry", self.path, elineno) for t in tokens))
+        try:
+            rel = Relation(self.domain, arity, tuple(tuples), name=name)
+        except ValueError as exc:
+            raise ParseError(str(exc), source=self.path, line=lineno) from exc
+        self.rels.append((name, rel, lineno))
+
+
+def _oracle_is_formula_file(text):
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped:
+            return stripped.split()[0] == "def" or stripped.startswith("def(")
+    return False
+
+
+def oracle_load_workspace(paths, *, limits=DEFAULT_LIMITS):
+    """load_workspace by the loader it replaced.  It differs in two reports:
+    a duplicate formula name carries no line, and a file re-declaring both
+    a relation and a later operation is reported at the operation."""
+    ops_by_name = {}
+    rels_by_name = {}
+    formulas_by_name = {}
+    domain = None
+    domain_source = None
+    for path in sorted(str(p) for p in paths):
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        if _oracle_is_formula_file(text):
+            try:
+                formulas = oracle_parse_pp_file(text)
+            except ParseError as exc:
+                raise ParseError(exc.message, source=path, line=exc.line, column=exc.column) from exc
+            for phi in formulas:
+                if phi.name in formulas_by_name:
+                    raise ParseError(f"duplicate formula name {phi.name!r}", source=path)
+                formulas_by_name[phi.name] = phi
+            continue
+        parser = _OracleDataFileParser(path, text)
+        parser.run()
+        if domain is None:
+            domain = parser.domain
+            domain_source = path
+        elif parser.domain != domain:
+            raise ParseError(
+                f"domain {parser.domain.size} conflicts with domain {domain.size} from {domain_source}",
+                source=path,
+            )
+        for name, op, lineno in parser.ops:
+            if name in ops_by_name:
+                raise ParseError(f"duplicate operation name {name!r}", source=path, line=lineno)
+            ops_by_name[name] = op
+        for name, rel, lineno in parser.rels:
+            if name in rels_by_name:
+                raise ParseError(f"duplicate relation name {name!r}", source=path, line=lineno)
+            rels_by_name[name] = rel
+    if domain is None:
+        raise ParseError("no data file declared a domain")
+    if domain.size > limits.max_domain:
+        raise ResourceBoundError(f"domain size {domain.size} exceeds cap {limits.max_domain}")
+    return Workspace(
+        domain=domain,
+        operations=OperationSet(domain, tuple(ops_by_name.values())),
+        relations=RelationSet(domain, tuple(rels_by_name.values())),
+        formulas=tuple(formulas_by_name.values()),
+        ops_by_name=ops_by_name,
+        rels_by_name=rels_by_name,
+        formulas_by_name=formulas_by_name,
+    )
 
 
 def oracle_least_invariant_superset(r, rels):

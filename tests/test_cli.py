@@ -133,6 +133,27 @@ def test_ppdef_not_definable_shows_closure():
     )
 
 
+TWIN_RELS = "domain 2\n\nrel a 2\n0 0\n0 1\n1 1\nend\n\nrel b 2\n0 0\n0 1\n1 1\nend\n"
+
+
+def test_ppeval_finds_a_relation_equal_to_an_earlier_one(tmp_path):
+    rels, formulas = tmp_path / "twins.rel", tmp_path / "useb.pp"
+    rels.write_text(TWIN_RELS)
+    formulas.write_text("def useb(x, y) := b(x, y)\n")
+    code, out, err = run(["ppeval", "--rels", str(rels), "--formula", str(formulas), "--name", "useb"])
+    assert (code, err) == (0, "")
+    assert out == "ppeval domain=2 name=useb arity=2 count=3\nrel useb 2 : 0,0 ; 0,1 ; 1,1\n"
+
+
+def test_ppdef_target_equal_to_another_relation_is_definable(tmp_path):
+    rels = tmp_path / "twins.rel"
+    rels.write_text(TWIN_RELS)
+    for target in ("a", "b"):
+        code, out, err = run(["ppdef", "--rels", str(rels), "--target", target])
+        assert (code, err) == (0, "")
+        assert out == f"ppdef domain=2 target={target} count=3\ndefinable : yes\n"
+
+
 def test_diag_output_exact():
     code, out, err = run(["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "2"])
     assert (code, err) == (0, "")
