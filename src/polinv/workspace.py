@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .core import Domain, Operation, OperationSet, Relation, RelationSet
 from .errors import ParseError, ResourceBoundError
@@ -59,10 +59,11 @@ def _nonblank(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
             yield number, words
 
 
-def _parse_data_file(path: str, text: str) -> tuple[Domain, list[_Item]]:
+def _parse_data_file(path: str, text: str, limits: Limits) -> tuple[Domain, list[_Item]]:
     """The domain of one data file and its operations and relations, in
     file order.  A block cut short by the end of the file is reported at
-    the file's last line, blank lines counted."""
+    the file's last line, blank lines counted; a table longer than the
+    materialization cap is refused at its header."""
     lines = text.splitlines()
     rows = _nonblank(lines)
 
@@ -74,12 +75,18 @@ def _parse_data_file(path: str, text: str) -> tuple[Domain, list[_Item]]:
             raise fail(f"{what} must be a nonnegative integer, got {word!r}", line)
         return int(word)
 
+    def build(make: Callable, line: int, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise fail(str(exc), line) from exc
+
     line, words = next(rows, (1, None))
     if words is None:
         raise fail("empty file", line)
     if words[0] != "domain" or len(words) != 2:
         raise fail("expected 'domain N' header", line)
-    domain = Domain(number(words[1], "domain size", line))
+    domain = build(Domain, line, number(words[1], "domain size", line))
     items: list[_Item] = []
     for line, (kind, *header) in rows:
         if kind not in _KINDS:
@@ -92,7 +99,15 @@ def _parse_data_file(path: str, text: str) -> tuple[Domain, list[_Item]]:
         arity = number(header[1], "arity", line)
         body: list = []
         if kind == "op":
-            need = domain.size**arity
+            # d^arity with the exponent cut at b, the cap's bit length: as
+            # 2^b > cap, it is exact whenever it is within the cap
+            need = domain.size ** min(arity, limits.max_materialize.bit_length())
+            if need > limits.max_materialize:
+                raise fail(
+                    f"table for {name} needs {domain.size}^{arity} entries, "
+                    f"more than max_materialize ({limits.max_materialize})",
+                    line,
+                )
             while len(body) < need:
                 at, words = next(rows, (None, None))
                 if words is None:
@@ -111,10 +126,7 @@ def _parse_data_file(path: str, text: str) -> tuple[Domain, list[_Item]]:
                 body.append(tuple(number(w, "tuple entry", at) for w in words))
             else:
                 raise fail(f"relation {name} not terminated by 'end'")
-        try:
-            value = (Operation if kind == "op" else Relation)(domain, arity, tuple(body), name=name)
-        except ValueError as exc:
-            raise fail(str(exc), line) from exc
+        value = build(Operation if kind == "op" else Relation, line, domain, arity, tuple(body), name=name)
         items.append((_KINDS[kind], name, value, line))
     return domain, items
 
@@ -142,7 +154,7 @@ def load_workspace(paths: Sequence[str], *, limits: Limits = DEFAULT_LIMITS) -> 
         if first == "def" or first.startswith("def("):
             items = _parse_formula_file(path, text)
         else:
-            file_domain, items = _parse_data_file(path, text)
+            file_domain, items = _parse_data_file(path, text, limits)
             if domain is None:
                 domain, domain_source = file_domain, path
             elif file_domain != domain:

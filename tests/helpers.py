@@ -390,7 +390,10 @@ class _OracleDataFileParser:
         if parts[0] != "domain" or len(parts) != 2:
             raise ParseError("expected 'domain N' header", source=self.path, line=lineno)
         size = _oracle_parse_int(parts[1], "domain size", self.path, lineno)
-        self.domain = Domain(size)
+        try:
+            self.domain = Domain(size)
+        except ValueError as exc:
+            raise ParseError(str(exc), source=self.path, line=lineno) from exc
         while (entry := self._next_line()) is not None:
             lineno, text = entry
             parts = text.split()

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from polinv.cli import main, run
 
 DATA = Path(__file__).parent / "data"
@@ -255,6 +257,19 @@ def test_malformed_file_is_exit_2():
     code, _, err = run(["inv", "--ops", str(DATA / "short_table.ops"), "--arity", "1"])
     assert code == 2
     assert "short_table.ops" in err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("zero_domain.ops", "1: domain size must be a positive integer, got 0"),
+        ("huge_arity.ops", "2: table for f needs 2^20000 entries, more than max_materialize (65536)"),
+    ],
+)
+def test_bad_header_is_exit_2_at_its_line(name, message):
+    path = str(DATA / name)
+    code, out, err = run(["check", "--ops", path, "--arity", "1"])
+    assert (code, out, err) == (2, "", f"error: {path}:{message}\n")
 
 
 def test_usage_error_is_exit_2():

@@ -8,12 +8,15 @@ from polinv import (
     Relation,
     RelationSet,
     ResourceBoundError,
+    all_partitions,
+    diagonal_relation,
+    ideal_downset,
     inv,
     invariant_closure,
     pol,
     preserves,
 )
-from polinv.galois import _maximal_invariants
+from polinv.galois import _core, _invariant_masks, _maximal_invariants, _relations
 from polinv.limits import Limits
 
 from helpers import (
@@ -184,6 +187,108 @@ def test_maximal_invariants_have_the_same_polymorphisms():
     # with no generators every relation is invariant: the maximal ones miss one tuple each
     every = [sum(1 << BOOL.tuple_index(t) for t in r) for r in inv(opset([]), 3)]
     assert sorted(m.bit_count() for m in _maximal_invariants(every, 8)) == [7] * 8
+
+
+def _cylinder(r, pos):
+    """r x A, the new coordinate at position pos."""
+    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (a,) + t[pos:] for t in r for a in r.domain.elements()))
+
+
+def _repeat(r, col, pos):
+    """r with a copy of column col inserted at position pos."""
+    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (t[col],) + t[pos:] for t in r))
+
+
+def _proper_relation(rng, domain):
+    """A random relation of arity 1 or 2, neither empty nor full."""
+    arity = rng.randint(1, 2)
+    return random_relation(rng, domain, arity, allow_empty=False, max_size=min(4, domain.size**arity - 1))
+
+
+def test_pol_by_cores_matches_the_filtering_oracle():
+    # each set holds a relation with a repeated column, the cylinders of
+    # another at every position, a full relation and, in half the cases,
+    # an empty one; the first two share their core with a bare copy
+    rng = random.Random(151)
+    for domain, count in ((BOOL, 6), (THREE, 3)):
+        for case in range(count):
+            a, b = (_proper_relation(rng, domain) for _ in "ab")
+            rels = [a, _repeat(a, rng.randrange(a.arity), rng.randint(0, a.arity)), b]
+            rels += [_cylinder(b, pos) for pos in range(b.arity + 1)]
+            rels.append(Relation.full(domain, rng.randint(1, 2)))
+            if case % 2:
+                rels.append(Relation.empty(domain, rng.randint(1, 2)))
+            assert all(_core(r).arity < r.arity for r in rels[1:] if r is not b)
+            for arity in (0, 1, 2):
+                got = pol(relation_set(rels, domain), arity)
+                assert [f.table for f in got] == sorted(f.table for f in oracle_pol(rels, arity, domain))
+
+
+def test_core_merges_columns_and_drops_cylinders():
+    assert _core(LEQ) == LEQ
+    assert _core(_repeat(_cylinder(NEQ, 1), 0, 3)) == NEQ
+    assert _core(Relation.full(THREE, 3)) == Relation.full(THREE, 0)
+    for arity in (0, 1, 3):
+        assert _core(Relation.empty(BOOL, arity)) == Relation.empty(BOOL, 0)
+
+
+def test_diagonal_relations_have_a_full_core():
+    # every finitary operation preserves every diagonal, so none constrains pol
+    for domain in (BOOL, THREE):
+        for kappa in range(1, 5):
+            for p in all_partitions(kappa):
+                assert _core(diagonal_relation(ideal_downset([p], kappa), domain)).is_full
+
+
+def test_cylinders_keep_the_core():
+    rng = random.Random(152)
+    for domain in (BOOL, THREE):
+        for _ in range(20):
+            r = random_relation(rng, domain, rng.randint(0, 3), max_size=6)
+            for pos in range(r.arity + 1):
+                assert _core(_cylinder(r, pos)) == _core(r)
+        # tuple ranks past 64 bits
+        wide = _repeat(Relation(domain, 70, [[rng.randrange(domain.size) for _ in range(70)] for _ in range(9)]), 3, 70)
+        assert _core(_cylinder(wide, 35)) == _core(wide) and _core(wide).arity < wide.arity
+
+
+def test_core_has_no_repeated_column_and_no_cylinder_coordinate():
+    rng = random.Random(153)
+    for domain in (BOOL, THREE):
+        for _ in range(60):
+            r = random_relation(rng, domain, rng.randint(0, 4), max_size=12)
+            if rng.random() < 0.5 and r.arity:
+                r = _repeat(r, rng.randrange(r.arity), rng.randint(0, r.arity))
+            core = _core(r)
+            assert core.is_empty == r.is_empty and (core.arity == 0 or not core.is_full)
+            columns = list(zip(*core.tuples))
+            assert len(set(columns)) == len(columns)
+            for j in range(core.arity):
+                assert len({t[:j] + t[j + 1 :] for t in core}) * domain.size > len(core)
+
+
+def _kept_invariants(gens, arity):
+    """The relations galois_check hands to pol for the clone of gens."""
+    kept = []
+    for k in range(1, BOOL.size**arity + 1):
+        masks = _invariant_masks(opset(gens), k, Limits())
+        kept += _relations(BOOL, k, _maximal_invariants(masks, BOOL.size**k))
+    return kept
+
+
+def test_pol_constrains_by_cores():
+    kept = _kept_invariants([AND], 2)
+    cores = {_core(r) for r in kept} - {Relation.full(BOOL, 0)}
+    assert (len(kept), sum(len(r) ** 2 for r in kept)) == (53, 5958)
+    assert (len(cores), sum(len(c) ** 2 for c in cores)) == (14, 1350)
+    # the constraint cap counts the combinations of the cores
+    assert len(pol(relation_set(kept), 2, limits=Limits(max_candidates=1350))) == 3
+    with pytest.raises(ResourceBoundError, match="pol constraints at arity 2 needs 1350 candidates"):
+        pol(relation_set(kept), 2, limits=Limits(max_candidates=1349))
+    # a complete generating set leaves only the empty core: no combinations
+    kept = _kept_invariants([AND, NOT], 2)
+    assert {_core(r) for r in kept} - {Relation.full(BOOL, 0)} == {Relation.empty(BOOL, 0)}
+    assert len(pol(relation_set(kept), 2, limits=Limits(max_candidates=16))) == 16
 
 
 def test_pol_table_cap():
