@@ -58,15 +58,14 @@ def _named(items: Sequence, prefix: str) -> list[tuple[str, object]]:
     return out
 
 
-def _require_enum_arity(arity: int, limits: Limits) -> None:
+def _require_enum_arity(arity: int, flag: str, limits: Limits) -> None:
     _check_count(arity, "arity", 1)
-    if arity > limits.max_enum_arity:
-        raise ResourceBoundError(f"arity {arity} exceeds enumeration cap {limits.max_enum_arity}")
+    limits.check("max_enum_arity", arity, flag)
 
 
 def _cmd_clone_gen(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.ops, limits=limits)
-    _require_enum_arity(args.max_arity, limits)
+    _require_enum_arity(args.max_arity, "clone-gen --max-arity", limits)
     closure = clone_closure(ws.operations, args.max_arity, limits=limits)
     lines = [_format_op(name, op) for name, op in _named(closure.ops, "f")]
     summary = f"clone-gen domain={ws.domain.size} max-arity={args.max_arity} count={len(closure)}"
@@ -75,7 +74,7 @@ def _cmd_clone_gen(args: argparse.Namespace, limits: Limits) -> tuple[str, list[
 
 def _cmd_pol(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.rels, limits=limits)
-    _require_enum_arity(args.arity, limits)
+    _require_enum_arity(args.arity, "pol --arity", limits)
     ops = pol(ws.relations, args.arity, limits=limits)
     lines = [_format_op(name, op) for name, op in _named(ops.ops, "f")]
     summary = f"pol domain={ws.domain.size} arity={args.arity} count={len(ops)}"
@@ -94,7 +93,7 @@ def _cmd_inv(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
 
 def _cmd_gamma(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.ops, limits=limits)
-    _require_enum_arity(args.arity, limits)
+    _require_enum_arity(args.arity, "gamma --arity", limits)
     rel = graph_relation(ws.operations, args.arity, limits=limits)
     lines = [_format_rel(f"gamma_{args.arity}", rel)]
     summary = f"gamma domain={ws.domain.size} arity={args.arity} count={len(rel)}"
@@ -130,8 +129,7 @@ def _cmd_ppdef(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]
 def _cmd_diag(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     domain = Domain(args.domain)
     # diag loads no workspace, so the domain cap is checked here
-    if args.domain > limits.max_domain:
-        raise ResourceBoundError(f"domain size {args.domain} exceeds cap {limits.max_domain}")
+    limits.check("max_domain", args.domain, "diag --domain")
     texts = [part.strip() for part in args.generators.split(";") if part.strip()]
     generators = tuple(parse_partition(text, args.kappa) for text in texts)
     ideal = ideal_downset(generators, args.kappa, limits=limits)
@@ -159,7 +157,7 @@ def _cmd_essential(args: argparse.Namespace, limits: Limits) -> tuple[str, list[
 
 def _cmd_check(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]]:
     ws = load_workspace(args.ops, limits=limits)
-    _require_enum_arity(args.arity, limits)
+    _require_enum_arity(args.arity, "check --arity", limits)
     report = galois_check(ws.operations, args.arity, max_k=args.max_k, limits=limits)
     lines = [
         f"clone : {len(report.clone_ops)}",

@@ -15,8 +15,7 @@ from itertools import chain, filterfalse, product
 from typing import Iterable, Iterator, Sequence
 
 from .core import Operation, OperationSet, Relation, _check_count, lookup_table, make_projection, row_images
-from .errors import ResourceBoundError
-from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration, _guard_materialize
+from .limits import DEFAULT_LIMITS, Limits
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def clone_closure(
     _check_bound(generators, max_arity)
     domain = generators.domain
     d = domain.size
-    _guard_materialize(d**max_arity, f"tables of arity {max_arity} hold {d**max_arity} entries", limits)
+    limits.check("max_materialize", d**max_arity, f"clone closure table at arity {max_arity}")
     projections = (make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n))
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
     for f in chain(projections, generators):
@@ -103,7 +102,7 @@ def clone_closure(
         for n, table in members:
             pools[n].append(table)
         combos = sum(len(pool) ** m for m, _ in members for pool in pools.values())
-        _guard_enumeration(combos, "clone closure round", limits)
+        limits.check("max_candidates", combos, "clone closure round")
         fresh_tables = {n: {t for k, t in fresh if k == n} for n in pools}
         produced: set[tuple[int, tuple[int, ...]]] = set()
         for m, f_table in list(members):
@@ -116,13 +115,14 @@ def clone_closure(
                     if (n, table) not in members:
                         members[n, table] = Operation(domain, n, table)
                         produced.add((n, table))
-                        if len(members) > limits.max_closure:
-                            raise ResourceBoundError(f"clone closure exceeds {limits.max_closure} operations")
+                        limits.check("max_closure", len(members), "clone closure")
         fresh = produced
     return OperationSet(domain, tuple(members.values()))
 
 
-def _closing(ops: OperationSet, current: set[tuple[int, ...]], width: int, limits: Limits) -> Iterator[int]:
+def _closing(
+    ops: OperationSet, current: set[tuple[int, ...]], width: int, limits: Limits, what: str
+) -> Iterator[int]:
     """Close current, a set of width-tuples, under pointwise application of
     every member of ops, in place, yielding its size after each round.
 
@@ -130,7 +130,8 @@ def _closing(ops: OperationSet, current: set[tuple[int, ...]], width: int, limit
     each round applies a member only to the row combinations that hold a
     tuple new in the previous round (new rows at the first new position,
     older rows before it, any rows after it).  The round guard counts
-    those combinations alone, |all|^m - |older|^m per member of arity m.
+    those combinations alone, |all|^m - |older|^m per member of arity m,
+    and refuses a round under what, the caller's name for it.
     """
     current.update((f.table[0],) * width for f in ops if not f.arity)
     lookups = [(f.arity, lookup_table(f.table, ops.domain.size, f.arity)) for f in ops if f.arity]
@@ -139,7 +140,7 @@ def _closing(ops: OperationSet, current: set[tuple[int, ...]], width: int, limit
     while fresh:
         every = older + fresh
         combos = sum(len(every) ** m - len(older) ** m for m, _ in lookups)
-        _guard_enumeration(combos, "invariant closure round", limits)
+        limits.check("max_candidates", combos, what)
         produced: set[tuple[int, ...]] = set()
         for m, lookup in lookups:
             by_first_fresh = (product(*[older] * i, fresh, *[every] * (m - 1 - i)) for i in range(m))
@@ -170,7 +171,7 @@ def invariant_closure(
             raise ValueError(f"seed {t} has length {len(t)}, expected arity {arity}")
         current.add(t)
     Relation(domain, arity, tuple(current))  # validates entry ranges
-    for _ in _closing(ops, current, arity, limits):
+    for _ in _closing(ops, current, arity, limits, f"invariant closure round at arity {arity}"):
         pass
     return Relation(domain, arity, tuple(current))
 
@@ -183,14 +184,10 @@ def _clone_slice(ops: OperationSet, arity: int, limits: Limits) -> set[tuple[int
     max_materialize cells and more than max_closure members."""
     domain = ops.domain
     width = domain.size**arity
-    if width > limits.max_materialize:
-        raise ResourceBoundError(
-            f"graph relation of arity {width} exceeds materialization cap {limits.max_materialize}"
-        )
+    limits.check("max_materialize", width, f"clone slice table at arity {arity}")
     members = {make_projection(domain, arity, i).table for i in range(arity)}
-    for size in _closing(ops, members, width, limits):
-        if size > limits.max_closure:
-            raise ResourceBoundError(f"clone closure exceeds {limits.max_closure} operations")
+    for size in _closing(ops, members, width, limits, f"clone slice round at arity {arity}"):
+        limits.check("max_closure", size, f"clone slice at arity {arity}")
     return members
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .clones import graph_relation
 from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, lookup_table, row_images
-from .limits import DEFAULT_LIMITS, Limits, _guard_enumeration, _guard_materialize
+from .limits import DEFAULT_LIMITS, Limits
 
 
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
@@ -51,9 +51,9 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     domain = ops.domain
     d = domain.size
     size = d**arity
-    _guard_materialize(size, f"relations of arity {arity} hold up to {size} tuples", limits)
-    _guard_enumeration(2**size, f"inv at arity {arity}", limits)
-    _guard_enumeration(sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}", limits)
+    limits.check("max_materialize", size, f"inv relation at arity {arity}")
+    limits.check("max_candidates", 2**size, f"inv at arity {arity}")
+    limits.check("max_candidates", sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}")
     tuples = list(domain.tuples(arity))
     root = sum({1 << domain.tuple_index((f.table[0],) * arity) for f in ops if not f.arity})
     images: dict[int, int] = {}  # bitmask of the ranks used -> image
@@ -184,10 +184,10 @@ def _table_search(
     """
     d = rels.domain.size
     cells = d**arity
-    _guard_materialize(cells, f"tables of arity {arity} hold {cells} entries", limits)
-    _guard_enumeration(d**cells, f"pol at arity {arity}", limits)
+    limits.check("max_materialize", cells, f"pol table at arity {arity}")
+    limits.check("max_candidates", d**cells, f"pol at arity {arity}")
     cores = dict.fromkeys(r for r in map(_core, rels) if not r.is_full)  # each once, in order
-    _guard_enumeration(sum(len(r) ** arity for r in cores), f"pol constraints at arity {arity}", limits)
+    limits.check("max_candidates", sum(len(r) ** arity for r in cores), f"pol constraints at arity {arity}")
     cell_of = lookup_table(range(cells), d, arity)
     # checks[c] pairs each row combination whose highest output cell is c,
     # as the cells it reads, with the tuple set its image must land in

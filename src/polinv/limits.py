@@ -1,8 +1,13 @@
 """Resource caps for enumerations and closures.
 
-Every cap refusal raises ResourceBoundError, which the CLI maps to exit
-code 3.  GALOIS_MAX_CANDIDATES in the environment overrides the candidate
-cap for a CLI invocation; library callers pass a Limits value instead.
+Every layer checks its caps through Limits.check, the one place that
+raises ResourceBoundError (exit code 3 in the CLI), in one shape:
+"{what} needs {count}, more than {name} ({cap})", naming the layer and
+the work it asked for, then the field that refused it.  A data-file
+header over max_materialize is refused in the same words, as a
+ParseError at its line (exit 2).  GALOIS_MAX_CANDIDATES in the
+environment overrides the candidate cap for a CLI invocation; library
+callers pass a Limits value instead.
 """
 
 from __future__ import annotations
@@ -41,15 +46,11 @@ class Limits:
         except ValueError as exc:
             raise ValueError(f"{ENV_MAX_CANDIDATES} must be a positive integer, got {raw!r}") from exc
 
+    def check(self, name: str, count: int, what: str) -> None:
+        """Refuse count when it exceeds the cap held in the field called name."""
+        cap = getattr(self, name)
+        if count > cap:
+            raise ResourceBoundError(f"{what} needs {count}, more than {name} ({cap})")
+
 
 DEFAULT_LIMITS = Limits()
-
-
-def _guard_enumeration(count: int, what: str, limits: Limits) -> None:
-    if count > limits.max_candidates:
-        raise ResourceBoundError(f"{what} needs {count} candidates, cap is {limits.max_candidates}")
-
-
-def _guard_materialize(count: int, what: str, limits: Limits) -> None:
-    if count > limits.max_materialize:
-        raise ResourceBoundError(f"{what}, materialization cap is {limits.max_materialize}")

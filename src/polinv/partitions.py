@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .core import Domain, Operation, Partition, Relation, _check_count, _common_refinement, _groups, preserves
-from .errors import ParseError, ResourceBoundError
+from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -68,17 +68,10 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
-def _check_lattice_size(index_size: int, limits: Limits) -> None:
-    _check_count(index_size, "index_size", 1)
-    if index_size > limits.max_index:
-        raise ResourceBoundError(
-            f"partition lattice on {index_size} indices exceeds cap {limits.max_index}"
-        )
-
-
 def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:
     """All partitions of the index set in canonical order."""
-    _check_lattice_size(index_size, limits)
+    _check_count(index_size, "index_size", 1)
+    limits.check("max_index", index_size, "partition lattice")
     return tuple(sorted(all_partitions(index_size), key=lambda p: p.blocks))
 
 
@@ -138,7 +131,8 @@ def ideal_downset(
     """Least ideal containing the generators: the coarsenings of their
     common refinement π, one for each partition of π's blocks.  With no
     generators this is the one-element ideal of the one-block partition."""
-    _check_lattice_size(index_size, limits)
+    _check_count(index_size, "index_size", 1)
+    limits.check("max_index", index_size, "ideal downset")
     generators = tuple(generators)
     for p in generators:
         if p.index_size != index_size:
@@ -158,11 +152,7 @@ def diagonal_relation(
     ideal: the tuples constant on the blocks of its finest member, one
     for each assignment of domain elements to those blocks."""
     kappa = ideal.index_size
-    count = domain.size**kappa
-    if count > limits.max_materialize:
-        raise ResourceBoundError(
-            f"diagonal relation would materialize {count} tuples, cap is {limits.max_materialize}"
-        )
+    limits.check("max_materialize", domain.size**kappa, "diagonal relation")
     where = ideal.finest.block_of()
     block = [where[i] for i in range(kappa)]
     values = product(range(domain.size), repeat=len(ideal.finest.blocks))
@@ -174,11 +164,7 @@ def check_finitary_preservation(
 ) -> bool:
     """Whether op preserves the ideal's diagonal relation over op's domain."""
     diag = diagonal_relation(ideal, op.domain, limits=limits)
-    combos = len(diag) ** op.arity
-    if combos > limits.max_candidates:
-        raise ResourceBoundError(
-            f"finitary preservation check needs {combos} row combinations, cap is {limits.max_candidates}"
-        )
+    limits.check("max_candidates", len(diag) ** op.arity, "finitary preservation check")
     return preserves(op, diag)
 
 

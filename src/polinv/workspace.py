@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import Domain, Operation, OperationSet, Relation, RelationSet
-from .errors import ParseError, ResourceBoundError
+from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
 from .pp import PPFormula, _Parser
 
@@ -62,8 +62,8 @@ def _nonblank(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
 def _parse_data_file(path: str, text: str, limits: Limits) -> tuple[Domain, list[_Item]]:
     """The domain of one data file and its operations and relations, in
     file order.  A block cut short by the end of the file is reported at
-    the file's last line, blank lines counted; a table longer than the
-    materialization cap is refused at its header."""
+    the file's last line, blank lines counted; a table or tuple longer
+    than the materialization cap is refused at its header."""
     lines = text.splitlines()
     rows = _nonblank(lines)
 
@@ -97,17 +97,21 @@ def _parse_data_file(path: str, text: str, limits: Limits) -> tuple[Domain, list
         if not _NAME_RE.match(name):
             raise fail(f"bad name {name!r}", line)
         arity = number(header[1], "arity", line)
+        if kind == "rel" and arity < 1:
+            raise fail("relation arity in files must be at least 1", line)
+        # an op's table holds d^arity entries, here with the exponent cut
+        # at b, the cap's bit length: as 2^b > cap, it is exact whenever it
+        # is within the cap.  Each of a rel's tuples holds arity entries.
+        cap = limits.max_materialize
+        if kind == "op":
+            need = domain.size ** min(arity, cap.bit_length())
+            what, shown = f"table for {name}", f"{domain.size}^{arity}"
+        else:
+            need, what, shown = arity, f"tuple for {name}", arity
+        if need > cap:
+            raise fail(f"{what} needs {shown} entries, more than max_materialize ({cap})", line)
         body: list = []
         if kind == "op":
-            # d^arity with the exponent cut at b, the cap's bit length: as
-            # 2^b > cap, it is exact whenever it is within the cap
-            need = domain.size ** min(arity, limits.max_materialize.bit_length())
-            if need > limits.max_materialize:
-                raise fail(
-                    f"table for {name} needs {domain.size}^{arity} entries, "
-                    f"more than max_materialize ({limits.max_materialize})",
-                    line,
-                )
             while len(body) < need:
                 at, words = next(rows, (None, None))
                 if words is None:
@@ -116,8 +120,6 @@ def _parse_data_file(path: str, text: str, limits: Limits) -> tuple[Domain, list
                 if len(body) > need:
                     raise fail(f"table for {name} needs {need} entries, got {len(body)}", at)
         else:
-            if arity < 1:
-                raise fail("relation arity in files must be at least 1", line)
             for at, words in rows:
                 if words == ["end"]:
                     break
@@ -168,8 +170,7 @@ def load_workspace(paths: Sequence[str], *, limits: Limits = DEFAULT_LIMITS) -> 
             by_name[kind][name] = value
     if domain is None:
         raise ParseError("no data file declared a domain")
-    if domain.size > limits.max_domain:
-        raise ResourceBoundError(f"domain size {domain.size} exceeds cap {limits.max_domain}")
+    limits.check("max_domain", domain.size, "workspace domain")
     ops_by_name, rels_by_name, formulas_by_name = by_name.values()
     return Workspace(
         domain=domain,

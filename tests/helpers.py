@@ -524,7 +524,7 @@ def oracle_load_workspace(paths, *, limits=DEFAULT_LIMITS):
     if domain is None:
         raise ParseError("no data file declared a domain")
     if domain.size > limits.max_domain:
-        raise ResourceBoundError(f"domain size {domain.size} exceeds cap {limits.max_domain}")
+        raise ResourceBoundError(f"workspace domain needs {domain.size}, more than max_domain ({limits.max_domain})")
     return Workspace(
         domain=domain,
         operations=OperationSet(domain, tuple(ops_by_name.values())),

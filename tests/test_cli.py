@@ -264,6 +264,7 @@ def test_malformed_file_is_exit_2():
     [
         ("zero_domain.ops", "1: domain size must be a positive integer, got 0"),
         ("huge_arity.ops", "2: table for f needs 2^20000 entries, more than max_materialize (65536)"),
+        ("wide_rel.rel", "2: tuple for r needs 65537 entries, more than max_materialize (65536)"),
     ],
 )
 def test_bad_header_is_exit_2_at_its_line(name, message):
@@ -291,27 +292,27 @@ def test_negative_arity_is_exit_2():
 
 
 def test_resource_bounds_are_exit_3():
-    code, _, err = run(["inv", "--ops", AND_OPS, "--arity", "5"])
-    assert code == 3
-    assert err.startswith("error:")
-
-    code, _, err = run(["pol", "--rels", LEQ_REL, "--arity", "4"])
-    assert code == 3
-
-    code, _, err = run(["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"])
-    assert code == 3
-
-    # the closure's third round would enumerate 939,113,757 (f, gs) pairs
-    code, out, err = run(["clone-gen", "--ops", BOOL_OPS, "--max-arity", "3"])
-    assert (code, out) == (3, "")
-    assert err == "error: clone closure round needs 939113757 candidates, cap is 10000000\n"
+    refusals = [
+        (["inv", "--ops", AND_OPS, "--arity", "5"], "inv at arity 5 needs 4294967296, more than max_candidates (10000000)"),
+        (["pol", "--rels", LEQ_REL, "--arity", "4"], "pol --arity needs 4, more than max_enum_arity (3)"),
+        (
+            ["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"],
+            "diag --domain needs 9, more than max_domain (4)",
+        ),
+        # the closure's third round would enumerate 939,113,757 (f, gs) pairs
+        (
+            ["clone-gen", "--ops", BOOL_OPS, "--max-arity", "3"],
+            "clone closure round needs 939113757, more than max_candidates (10000000)",
+        ),
+    ]
+    for argv, message in refusals:
+        assert run(argv) == (3, "", f"error: {message}\n"), argv
 
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("GALOIS_MAX_CANDIDATES", "10")
     code, _, err = run(["inv", "--ops", AND_OPS, "--arity", "2"])
-    assert code == 3
-    assert "10" in err
+    assert (code, err) == (3, "error: inv at arity 2 needs 16, more than max_candidates (10)\n")
 
 
 def test_bad_env_cap_is_exit_2(monkeypatch):
@@ -355,7 +356,7 @@ def test_diag_refusals_are_pinned():
     expected = {
         ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),
         ("-1", ""): (2, "error: index_size must be a positive integer, got -1\n"),
-        ("7", ""): (3, "error: partition lattice on 7 indices exceeds cap 6\n"),
+        ("7", ""): (3, "error: ideal downset needs 7, more than max_index (6)\n"),
         ("0", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got 0\n"),
         ("-1", "0|1"): (2, "error: bad partition '0|1': index_size must be a positive integer, got -1\n"),
         ("7", "0|1"): (2, "error: bad partition '0|1': blocks do not cover the index set\n"),

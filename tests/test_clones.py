@@ -144,19 +144,19 @@ def test_closure_generator_above_bound_rejected():
 
 
 def test_closure_size_cap():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match=r"^clone closure needs 6, more than max_closure \(5\)$"):
         clone_closure(opset([OR, NOT]), 2, limits=Limits(max_closure=5))
 
 
 def test_closure_round_and_table_caps():
     # a round counts every (f, gs) pair it enumerates, sum of |pool_n|^arity(f)
     for ops, max_arity, combos in ((opset([MIN3, SUC3], THREE), 2, 1812308752), (opset([AND, OR, NOT, XOR]), 3, 939113757)):
-        with pytest.raises(ResourceBoundError, match=rf"^clone closure round needs {combos} candidates, cap is 10000000$"):
+        with pytest.raises(ResourceBoundError, match=rf"^clone closure round needs {combos}, more than max_candidates \(10000000\)$"):
             clone_closure(ops, max_arity)
     # every projection table is refused before one is built
-    with pytest.raises(ResourceBoundError, match=r"^tables of arity 17 hold 131072 entries, materialization cap is 65536$"):
+    with pytest.raises(ResourceBoundError, match=r"^clone closure table at arity 17 needs 131072, more than max_materialize \(65536\)$"):
         clone_closure(opset([]), 17)
-    with pytest.raises(ResourceBoundError, match=r"^tables of arity 3 hold 27 entries, materialization cap is 26$"):
+    with pytest.raises(ResourceBoundError, match=r"^clone closure table at arity 3 needs 27, more than max_materialize \(26\)$"):
         clone_closure(opset([SUC3], THREE), 3, limits=Limits(max_materialize=26))
 
 
@@ -242,7 +242,7 @@ def test_graph_relation_is_invariant_under_the_clone():
 
 
 def test_graph_relation_width_cap():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match=r"^clone slice table at arity 2 needs 4, more than max_materialize \(3\)$"):
         graph_relation(opset([]), 2, limits=Limits(max_materialize=3))
 
 
@@ -342,12 +342,12 @@ def test_slice_refusals():
         lambda: clone_contains(bool_ops, AND, 2, limits=small),
         lambda: galois_check(bool_ops, 2, limits=small),
     ):
-        with pytest.raises(ResourceBoundError, match=r"^clone closure exceeds 5 operations$"):
+        with pytest.raises(ResourceBoundError, match=r"^clone slice at arity 2 needs 8, more than max_closure \(5\)$"):
             call()
     # the round guard counts only the row combinations holding a new tuple:
     # 584 in the largest round here, against 3 * 16^2 + 16 for every one
     assert len(graph_relation(bool_ops, 2, limits=Limits(max_candidates=584))) == 16
-    with pytest.raises(ResourceBoundError, match=r"^invariant closure round needs 584 candidates, cap is 583$"):
+    with pytest.raises(ResourceBoundError, match=r"^clone slice round at arity 2 needs 584, more than max_candidates \(583\)$"):
         graph_relation(bool_ops, 2, limits=Limits(max_candidates=583))
     # the binary slice of Webb's function holds all 19,683 tables
     webb, tight = opset([WEBB3], THREE), Limits(max_candidates=100_000)
@@ -356,5 +356,5 @@ def test_slice_refusals():
         lambda: clone_contains(webb, WEBB3, 2, limits=tight),
         lambda: galois_check(webb, 2, max_k=1, limits=tight),
     ):
-        with pytest.raises(ResourceBoundError, match=r"^invariant closure round needs 2244368 candidates, cap is 100000$"):
+        with pytest.raises(ResourceBoundError, match=r"^clone slice round at arity 2 needs 2244368, more than max_candidates \(100000\)$"):
             call()

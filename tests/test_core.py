@@ -325,7 +325,7 @@ def test_counts_refuse_bool_and_values_below_their_least():
         ("max_arity", 1, lambda v: clone_closure(ops, v)),
         ("index_size", 1, lambda v: list(all_partitions(v))),
         ("index_size", 1, lambda v: partition_lattice(v)),
-        ("arity", 1, lambda v: _require_enum_arity(v, Limits())),
+        ("arity", 1, lambda v: _require_enum_arity(v, "pol --arity", Limits())),
     ]
     for what, least, call in arguments:
         kind = "positive" if least else "nonnegative"

@@ -72,7 +72,7 @@ def test_bell_numbers_count_partitions():
 def test_partition_lattice_order_and_cap():
     lattice = partition_lattice(3)
     assert lattice == tuple(sorted(all_partitions(3), key=lambda p: p.blocks))
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match=r"^partition lattice needs 7, more than max_index \(6\)$"):
         partition_lattice(7)
     assert len(partition_lattice(7, limits=Limits(max_index=9))) == 877
 
@@ -135,7 +135,7 @@ def test_ideal_downset_rejects_mismatched_generator():
     with pytest.raises(ValueError):
         ideal_downset([Partition.top(2)], 3)
     # the size cap is checked first
-    with pytest.raises(ResourceBoundError, match="partition lattice on 7 indices exceeds cap 6"):
+    with pytest.raises(ResourceBoundError, match=r"^ideal downset needs 7, more than max_index \(6\)$"):
         ideal_downset([Partition.top(2)], 7)
 
 
@@ -244,7 +244,7 @@ def test_diagonal_on_larger_domain_filters_kernels():
 
 def test_diagonal_materialization_cap():
     ideal = ideal_downset([], 3)
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match=r"^diagonal relation needs 8, more than max_materialize \(7\)$"):
         diagonal_relation(ideal, BOOL, limits=Limits(max_materialize=7))
 
 
@@ -266,7 +266,7 @@ def test_every_boolean_operation_preserves_every_diagonal():
 def test_finitary_preservation_cap_counts_row_combinations():
     ideal = ideal_downset([P01_2], 3)  # its diagonal on d=2 has 4 tuples
     tight = Limits(max_candidates=15)
-    with pytest.raises(ResourceBoundError, match="finitary preservation check needs 16 row combinations"):
+    with pytest.raises(ResourceBoundError, match=r"^finitary preservation check needs 16, more than max_candidates \(15\)$"):
         check_finitary_preservation(AND, ideal, limits=tight)
     assert check_finitary_preservation(NOT, ideal, limits=tight)
     assert check_finitary_preservation(AND, ideal, limits=Limits(max_candidates=16))

@@ -66,7 +66,7 @@ def test_domain_mismatch_rejected(tmp_path):
 def test_domain_size_cap(tmp_path):
     big = tmp_path / "big.ops"
     big.write_text("domain 9\nop f 1\n0 1 2 3 4 5 6 7 8\n")
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match=r"^workspace domain needs 9, more than max_domain \(4\)$"):
         load_workspace([big])
 
 
@@ -195,6 +195,14 @@ DATA_ERRORS = [
     ({"a.ops": "domain 2\nop g 17\n"}, "a.ops:2: table for g needs 2^17 entries, more than max_materialize (65536)", 2),
     ({"a.ops": "domain 2\nop g 16\n"}, "a.ops:2: table for g needs 65536 entries, file ended after 0", 2),
     ({"a.ops": "domain 1\nop g 20000\n"}, "a.ops:2: table for g needs 1 entries, file ended after 0", 2),
+    # a relation's tuples are held to the same cap, at the header: arity
+    # 65536 passes it, 65537 does not
+    ({"a.rel": "domain 2\nrel r 65536\n"}, "a.rel:2: relation r not terminated by 'end'", 2),
+    (
+        {"a.rel": "domain 2\nrel r 65537\nend\n"},
+        "a.rel:2: tuple for r needs 65537 entries, more than max_materialize (65536)",
+        2,
+    ),
 ]
 
 
