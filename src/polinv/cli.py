@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parse or argument error, 3 resource bound hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -171,6 +172,7 @@ def _cmd_check(args: argparse.Namespace, limits: Limits) -> tuple[str, list[str]
     return summary, lines
 
 
+@functools.cache  # built on the first run, then reused: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polinv",

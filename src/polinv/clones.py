@@ -83,8 +83,9 @@ def clone_closure(
     row_images to the table combinations of each arity's pool, skipping
     those where neither f nor any g is new since the previous round, and
     builds an Operation only for a table it does not hold yet.  Refuses
-    tables of more than max_materialize entries and a round of more than
-    max_candidates combinations.  Nullary members come only from nullary
+    tables of more than max_materialize entries, a round of more than
+    max_candidates combinations and more than max_closure members, the
+    seeds included.  Nullary members come only from nullary
     generators: with none, the arity-0 pool stays empty.
     """
     _check_bound(generators, max_arity)
@@ -95,6 +96,7 @@ def clone_closure(
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
     for f in chain(projections, generators):
         members.setdefault((f.arity, f.table), f)
+    limits.check("max_closure", len(members), "clone closure")
 
     fresh = set(members)
     while fresh:

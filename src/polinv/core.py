@@ -10,7 +10,11 @@ Conventions used everywhere in the package:
 * a partition of {0, ..., k-1} stores blocks sorted by minimum element.
 
 All values are immutable after construction.  The member sets
-OperationSet and RelationSet live here too, next to their members.
+OperationSet and RelationSet live here too, next to their members, and
+so does a relation's core (_core): the relation with repeated columns
+merged and cylinder coordinates dropped, which has the same
+polymorphisms.  pol constrains by cores and the finitary preservation
+check of a diagonal relation decides on one.
 """
 
 from __future__ import annotations
@@ -393,6 +397,45 @@ def preserves(f: Operation, r: Relation) -> bool:
     tset = set(r.tuples)
     lookup = lookup_table(f.table, f.domain.size, f.arity)
     return all(t in tset for t in row_images(lookup, product(r.tuples, repeat=f.arity), r.arity))
+
+
+def _core(r: Relation) -> Relation:
+    """r with each column equal to an earlier one merged into it, then
+    each coordinate over which it is a full cylinder dropped: one whose
+    removal leaves |r| / d tuples.  Identifying coordinates and adding or
+    removing fictitious ones keep a relation's polymorphisms, so r and its
+    core have the same ones.  A full relation's core is {()}; the empty
+    relation's is the empty relation of arity 0.
+
+    Three counts spare most projections.  A relation of d^c tuples over c
+    distinct columns is full, so every coordinate goes untested (every
+    diagonal relation is such a one).  A cylinder coordinate holds each
+    value |r| / d times, which one count per value checks first.  And c
+    cylinder coordinates make |r| a multiple of d^c, so the scan stops
+    once one more could not.  Projections are taken on the tuples as
+    bytes where values fit in one, each a C-level slice.
+    """
+    d, n = r.domain.size, len(r)
+    cols = list(dict.fromkeys(zip(*r.tuples)))  # each distinct column once, in order
+    if n == d ** len(cols):
+        cols = []
+    else:
+        share, dropped, rows = n // d, set(), None
+        for j, col in enumerate(cols):
+            if n % d ** (len(dropped) + 1):
+                break
+            if any(col.count(a) != share for a in range(d)):
+                continue
+            if rows is None:  # the tuples over the distinct columns
+                rows = list(map(bytes if d <= 256 else tuple, zip(*cols)))
+            if len({t[:j] + t[j + 1 :] for t in rows}) * d == n:
+                dropped.add(j)
+        cols = [c for j, c in enumerate(cols) if j not in dropped]
+    if len(cols) == r.arity:  # nothing merged or dropped
+        return r
+    if not cols:
+        return Relation(r.domain, 0, ((),) if n else ())
+    return Relation(r.domain, len(cols), tuple(zip(*cols)))
 
 
 def kernel_partition(t: Sequence[int]) -> Partition:

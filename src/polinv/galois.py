@@ -5,10 +5,10 @@ operations (depth-first search over tuple sets in rank order, pruned as
 soon as the set's image holds a tuple it can no longer gain); pol
 enumerates every operation of a given arity preserving all given
 relations (depth-first table construction with forward pruning, its
-constraints built from each relation's core: repeated columns merged,
-cylinder coordinates dropped, full cores skipped), and the same
-backtracker, with some cells pinned and a first-solution stop, decides
-pp-definability.
+constraints built from each relation's core as core._core computes it:
+repeated columns merged, cylinder coordinates dropped, full cores
+skipped), and the same backtracker, with some cells pinned and a
+first-solution stop, decides pp-definability.
 galois_check checks that pol recovers a generated clone from its
 maximal invariants.  The operation and relation sets on either side
 are core.OperationSet and core.RelationSet values.
@@ -21,7 +21,9 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .clones import graph_relation
-from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, lookup_table, row_images
+from .core import (
+    Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, lookup_table, row_images
+)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -137,31 +139,6 @@ def inv(
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
 
 
-def _core(r: Relation) -> Relation:
-    """r with each column equal to an earlier one merged into it, then
-    each coordinate over which it is a full cylinder dropped: one whose
-    removal leaves |r| / d tuples.  Identifying coordinates and adding or
-    removing fictitious ones keep a relation's polymorphisms, so r and its
-    core have the same ones.  A full relation's core is {()}; the empty
-    relation's is the empty relation of arity 0."""
-    d, n = r.domain.size, len(r)
-    cols = list(dict.fromkeys(zip(*r.tuples)))  # each distinct column once, in order
-    if n % d == 0:  # else no coordinate is a cylinder one, as |p × A| = |p| * d
-        ranks = [0] * n  # each tuple's rank, read over the distinct columns
-        for col in cols:
-            ranks = [x * d + a for x, a in zip(ranks, col)]
-        # x - a * w is rank x with one coordinate (value a, weight w) zeroed:
-        # the projection dropping it, at one integer operation per tuple
-        # rather than a copied tuple.  A cylinder coordinate leaves |r| / d.
-        weights = [d**e for e in reversed(range(len(cols)))]
-        cols = [c for c, w in zip(cols, weights) if len({x - a * w for x, a in zip(ranks, c)}) * d != n]
-    if len(cols) == r.arity:  # nothing merged or dropped
-        return r
-    if not cols:
-        return Relation(r.domain, 0, ((),) if n else ())
-    return Relation(r.domain, len(cols), tuple(zip(*cols)))
-
-
 def _table_search(
     rels: RelationSet, arity: int, limits: Limits
 ) -> Callable[[dict[int, int], bool], list[tuple[int, ...]]]:
@@ -171,7 +148,7 @@ def _table_search(
     holds pins[c] for each pinned c, ascending, or just the first one when
     first is set.
 
-    The constraints come from the distinct cores of rels (see _core),
+    The constraints come from the distinct cores of rels (see core._core),
     which have the same polymorphisms; a full core constrains nothing and
     is skipped, and the empty core leaves no row combination above arity
     0, where it admits no constant.

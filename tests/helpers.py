@@ -146,6 +146,27 @@ def oracle_inv(ops, arity, domain):
     return found
 
 
+def oracle_core(r):
+    """The core the way pol first built it: distinct columns, then a
+    rank for every tuple and one zeroed-coordinate projection per column,
+    with no count to skip any of them."""
+    d, n = r.domain.size, len(r)
+    cols = list(dict.fromkeys(zip(*r.tuples)))  # each distinct column once, in order
+    if n % d == 0:  # else no coordinate is a cylinder one, as |p × A| = |p| * d
+        ranks = [0] * n  # each tuple's rank, read over the distinct columns
+        for col in cols:
+            ranks = [x * d + a for x, a in zip(ranks, col)]
+        # x - a * w is rank x with one coordinate (value a, weight w) zeroed:
+        # the projection dropping it.  A cylinder coordinate leaves |r| / d.
+        weights = [d**e for e in reversed(range(len(cols)))]
+        cols = [c for c, w in zip(cols, weights) if len({x - a * w for x, a in zip(ranks, c)}) * d != n]
+    if len(cols) == r.arity:  # nothing merged or dropped
+        return r
+    if not cols:
+        return Relation(r.domain, 0, ((),) if n else ())
+    return Relation(r.domain, len(cols), tuple(zip(*cols)))
+
+
 def naive_eval_pp(formula, rels_by_name, domain):
     """Sweep every assignment to free + existential variables."""
     free = list(formula.free_vars)

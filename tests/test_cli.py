@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from polinv.cli import main, run
+from polinv.cli import _build_parser, main, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -325,6 +325,20 @@ def test_bad_env_cap_is_exit_2(monkeypatch):
 def test_help_exits_zero():
     code, out, err = run(["--help"])
     assert code == 0
+
+
+def test_one_parser_serves_every_run(capsys):
+    # a usage error, --help (printed straight to stdout) and a check,
+    # three times over in one process
+    argvs = (["check", "--ops", AND_OPS], ["--help"], ["check", "--ops", AND_OPS, "--arity", "1"])
+    rounds = [[(run(argv), capsys.readouterr()) for argv in argvs] for _ in range(3)]
+    assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+    (usage, _), (helped, printed), (checked, _) = rounds[0]
+    assert usage[:2] == (2, "")
+    assert usage[2].endswith("polinv check: error: the following arguments are required: --arity\n")
+    assert helped == (0, "", "") and printed.out.startswith("usage: polinv")
+    assert checked[0] == 0 and checked[1].endswith("PASS\n")
+    assert _build_parser() is _build_parser()
 
 
 def test_main_writes_streams(capsys):

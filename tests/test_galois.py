@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from polinv import (
+    Domain,
     Operation,
     Relation,
     RelationSet,
@@ -16,7 +17,8 @@ from polinv import (
     pol,
     preserves,
 )
-from polinv.galois import _core, _invariant_masks, _maximal_invariants, _relations
+from polinv.core import _core
+from polinv.galois import _invariant_masks, _maximal_invariants, _relations
 from polinv.limits import Limits
 
 from helpers import (
@@ -34,6 +36,7 @@ from helpers import (
     near_projection,
     op,
     opset,
+    oracle_core,
     oracle_inv,
     oracle_invariant_closure,
     oracle_pol,
@@ -250,6 +253,30 @@ def test_cylinders_keep_the_core():
         # tuple ranks past 64 bits
         wide = _repeat(Relation(domain, 70, [[rng.randrange(domain.size) for _ in range(70)] for _ in range(9)]), 3, 70)
         assert _core(_cylinder(wide, 35)) == _core(wide) and _core(wide).arity < wide.arity
+
+
+def test_core_matches_the_oracle():
+    # d = 1..3 from arity 0 with empty and full relations, cylinders and
+    # repeated columns inserted at random positions, wide relations whose
+    # ranks the oracle builds over hundreds of digits, and values past a byte
+    rng = random.Random(154)
+    cases = []
+    for domain in (Domain(1), BOOL, THREE):
+        for arity in range(4):
+            cases += [Relation.empty(domain, arity), Relation.full(domain, arity)]
+        for _ in range(300):
+            r = random_relation(rng, domain, rng.randint(0, 3), max_size=12)
+            for _ in range(rng.randint(0, 2)):
+                r = _cylinder(r, rng.randint(0, r.arity))
+            for _ in range(rng.randint(0, 2) if r.arity else 0):
+                r = _repeat(r, rng.randrange(r.arity), rng.randint(0, r.arity))
+            cases.append(r)
+    for arity, size in ((400, 100), (200, 200)):
+        wide = Relation(BOOL, arity, [[rng.randrange(2) for _ in range(arity)] for _ in range(size)])
+        cases += [wide, _cylinder(_repeat(wide, 7, 150), 99)]
+    cases.append(_cylinder(_repeat(Relation(Domain(300), 2, [(0, 299), (299, 1), (5, 5)]), 0, 2), 1))
+    for r in cases:
+        assert _core(r) == oracle_core(r), r
 
 
 def test_core_has_no_repeated_column_and_no_cylinder_coordinate():

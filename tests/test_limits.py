@@ -49,6 +49,14 @@ REFUSALS = {
         lambda lim: clone_closure(opset([OR, NOT]), 2, limits=lim),
         "max_closure", 20, "clone closure",
     ),
+    "clone_closure seeds": (
+        lambda lim: clone_closure(opset([]), 3, limits=lim),
+        "max_closure", 6, "clone closure",
+    ),
+    "clone_closure seeds, with a generator": (
+        lambda lim: clone_closure(opset([NOT]), 1, limits=lim),
+        "max_closure", 2, "clone closure",
+    ),
     "invariant_closure round": (
         lambda lim: invariant_closure(opset([MAJ]), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3, limits=lim),
         "max_candidates", 37, "invariant closure round at arity 3",

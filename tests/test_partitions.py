@@ -19,6 +19,7 @@ from polinv import (
     kernel_partition,
     parse_partition,
     partition_lattice,
+    preserves,
 )
 from polinv.limits import Limits
 from polinv.partitions import bell_number
@@ -34,6 +35,7 @@ from helpers import (
     oracle_ideal_downset,
     oracle_is_ideal,
     oracle_partitions,
+    random_operation,
 )
 
 P01_2 = Partition(3, ((0, 1), (2,)))
@@ -261,6 +263,20 @@ def test_every_boolean_operation_preserves_every_diagonal():
     for ideal in ideals:
         for op in (AND, OR, NOT, XOR):
             assert check_finitary_preservation(op, ideal)
+
+
+def test_finitary_preservation_matches_the_exhaustive_check():
+    # decided on the diagonal's core, held to every row combination of
+    # the diagonal itself; nullary operations included
+    rng = random.Random(110)
+    for domain in (BOOL, THREE):
+        ops = [random_operation(rng, domain, arity) for arity in range(4)]
+        for kappa in range(1, 5):
+            for p in all_partitions(kappa):
+                ideal = ideal_downset([p], kappa)
+                diag = diagonal_relation(ideal, domain)
+                for op in ops:
+                    assert check_finitary_preservation(op, ideal) == preserves(op, diag)
 
 
 def test_finitary_preservation_cap_counts_row_combinations():
