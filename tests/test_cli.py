@@ -225,6 +225,23 @@ def test_check_on_majority_is_pinned():
     assert out == "check domain=2 arity=3 max-k=2\nclone : 4\ninvariants : 20\nrecovered : 4\nPASS\n"
 
 
+def test_check_fail_verdicts_are_pinned():
+    # with max_k below d^n the unary invariants are too few: pol recovers
+    # operations outside the clone, and each one is printed as a witness
+    code, out, err = run(["check", "--ops", AND_OPS, "--arity", "2", "--max-k", "1"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "check domain=2 arity=2 max-k=1\nclone : 3\ninvariants : 4\nrecovered : 4\nFAIL\n"
+        "witness op w0 2 : 0 1 1 1\n"
+    )
+    code, out, err = run(["check", "--ops", MAJ_OPS, "--arity", "2", "--max-k", "1"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "check domain=2 arity=2 max-k=1\nclone : 2\ninvariants : 4\nrecovered : 4\nFAIL\n"
+        "witness op w0 2 : 0 0 0 1\nwitness op w1 2 : 0 1 1 1\n"
+    )
+
+
 def test_check_bool_at_arity_3():
     # closing every arity up to 3 at once never finished on bool.ops; the
     # ternary slice alone holds all 256 ternary operations
