@@ -10,14 +10,16 @@ repeated columns merged, cylinder coordinates dropped, full cores
 skipped), and the same backtracker, with some cells pinned and a
 first-solution stop, decides pp-definability.
 galois_check checks that pol recovers a generated clone from its
-maximal invariants.  The operation and relation sets on either side
-are core.OperationSet and core.RelationSet values.
+invariants up to arity max_k; pol is handed only the maximal ones of
+arity max_k, one per orbit under coordinate permutations.  The
+operation and relation sets on either side are core.OperationSet and
+core.RelationSet values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
 from .clones import graph_relation
@@ -221,18 +223,23 @@ def pol(
     return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
 
 
-def _maximal_invariants(masks: Sequence[int], size: int) -> list[int]:
-    """The invariants of one arity, as bitmasks over the size tuple ranks,
-    that are maximal among those avoiding some tuple x.  They have the
-    same polymorphisms as all of them: every invariant R but the full
-    relation is the intersection, over x outside R, of a kept invariant
-    containing R and avoiding x, and Pol(R & S) contains Pol(R) & Pol(S)."""
+def _maximal_invariants(masks: Sequence[int], domain: Domain, arity: int) -> list[int]:
+    """The invariants of one arity, as bitmasks over tuple ranks, that are
+    maximal among those avoiding some tuple x with nondecreasing entries:
+    one x per orbit under coordinate permutations.  They have the same
+    polymorphisms as all of them.  Every invariant R but the full relation
+    is the intersection, over x outside R, of an invariant containing R
+    and maximal among those avoiding x; and Pol(R & S) contains
+    Pol(R) & Pol(S).  A coordinate permutation s maps the maximal
+    avoiders of x onto those of xs, and Pol(Rs) = Pol(R), so the maximal
+    avoiders of sorted x stand in for those of x."""
     largest_first = sorted(masks, key=int.bit_count, reverse=True)
     kept: set[int] = set()
-    for x in range(size):
+    for x in combinations_with_replacement(domain.elements(), arity):
+        bit = 1 << domain.tuple_index(x)
         maximal: list[int] = []
         for mask in largest_first:
-            if not mask >> x & 1:
+            if not mask & bit:
                 # every larger avoider came earlier and sits under a kept one
                 for m in maximal:
                     if mask & m == mask:
@@ -247,9 +254,11 @@ def _maximal_invariants(masks: Sequence[int], size: int) -> list[int]:
 class GaloisReport:
     """Result of one bounded correspondence check.
 
-    recovered_ops are the polymorphisms of every invariant found up to
-    max_k; witnesses hold any disagreement with the clone's own members
-    (empty exactly when the check passes).
+    invariant_count counts the invariants of every arity 1..max_k;
+    recovered_ops are their polymorphisms, computed from the maximal
+    invariants of arity max_k that galois_check keeps; witnesses hold any
+    disagreement with the clone's own members (empty exactly when the
+    check passes).
     """
 
     domain: Domain
@@ -279,8 +288,10 @@ def galois_check(
     relation set.  Passes when recovery returns exactly those members.
     max_k defaults to d^n, which always suffices: the relation whose tuples
     are the value tables of the n-ary members is itself invariant and
-    separates everything outside the clone.  pol gets only the maximal
-    invariants, which suffice (see _maximal_invariants)."""
+    separates everything outside the clone.  Every arity is enumerated and
+    counted in increasing order, so its caps refuse in that order, but pol
+    gets only the maximal invariants of arity max_k, one per orbit under
+    coordinate permutations, which suffice (see _maximal_invariants)."""
     domain = generators.domain
     _check_count(arity, "arity", 1)
     if max_k is None:
@@ -290,13 +301,14 @@ def galois_check(
     clone_n = OperationSet(domain, tuple(Operation(domain, arity, table) for table in gamma))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.
+    # pol needs only arity max_k: each k-ary invariant r gives the
+    # invariant r x A^(max_k - k), which has the same polymorphisms.
     invariant_count = 0
-    kept: list[Relation] = []
     for k in range(1, max_k + 1):
         masks = _invariant_masks(generators, k, limits)
         invariant_count += len(masks)
-        kept.extend(_relations(domain, k, _maximal_invariants(masks, domain.size**k)))
-    recovered = pol(RelationSet(domain, tuple(kept)), arity, limits=limits)
+    kept = _relations(domain, max_k, _maximal_invariants(masks, domain, max_k))
+    recovered = pol(RelationSet(domain, kept), arity, limits=limits)
     witnesses = tuple(op for op in recovered if op not in clone_n)
     witnesses += tuple(op for op in clone_n if op not in recovered)
     return GaloisReport(

@@ -31,6 +31,7 @@ from polinv import (
     kernel_partition,
     pol,
 )
+from polinv.galois import _invariant_masks, _relations
 
 BOOL = Domain(2)
 THREE = Domain(3)
@@ -144,6 +145,40 @@ def oracle_inv(ops, arity, domain):
         if all(oracle_preserves(f, r) for f in ops):
             found.append(r)
     return found
+
+
+def oracle_maximal_invariants(masks, size):
+    """The invariants of one arity, as bitmasks over the size tuple ranks,
+    that are maximal among those avoiding some tuple x, for every x in
+    turn: no orbit under coordinate permutations is skipped."""
+    largest_first = sorted(masks, key=int.bit_count, reverse=True)
+    kept = set()
+    for x in range(size):
+        maximal = []
+        for mask in largest_first:
+            if not mask >> x & 1:
+                # every larger avoider came earlier and sits under a kept one
+                for m in maximal:
+                    if mask & m == mask:
+                        break
+                else:
+                    maximal.append(mask)
+        kept.update(maximal)
+    return sorted(kept)
+
+
+def oracle_galois_recovered(generators, arity, max_k):
+    """The invariant count and the recovered operations of a bounded
+    correspondence check that hands pol the maximal invariants of every
+    arity 1..max_k, avoiding every tuple (see oracle_maximal_invariants).
+    The invariants themselves come from _invariant_masks, which
+    test_inv_matches_filtering_oracle holds to oracle_inv."""
+    domain = generators.domain
+    by_arity = [_invariant_masks(generators, k, DEFAULT_LIMITS) for k in range(1, max_k + 1)]
+    kept = []
+    for k, masks in enumerate(by_arity, 1):
+        kept += _relations(domain, k, oracle_maximal_invariants(masks, domain.size**k))
+    return sum(map(len, by_arity)), pol(RelationSet(domain, tuple(kept)), arity)
 
 
 def oracle_core(r):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,6 +12,7 @@ from polinv import (
     ResourceBoundError,
     all_partitions,
     diagonal_relation,
+    galois_check,
     ideal_downset,
     inv,
     invariant_closure,
@@ -37,8 +39,10 @@ from helpers import (
     op,
     opset,
     oracle_core,
+    oracle_galois_recovered,
     oracle_inv,
     oracle_invariant_closure,
+    oracle_maximal_invariants,
     oracle_pol,
     oracle_preserves,
     random_operation,
@@ -182,14 +186,78 @@ def test_maximal_invariants_have_the_same_polymorphisms():
         domain = gens[0].domain if gens else BOOL
         invariants = inv(opset(gens, domain), k)
         masks = [sum(1 << domain.tuple_index(t) for t in r) for r in invariants]
-        kept = set(_maximal_invariants(masks, domain.size**k))
+        kept = set(oracle_maximal_invariants(masks, domain.size**k))
         assert kept <= set(masks)
         kept_rels = relation_set([r for r, m in zip(invariants, masks) if m in kept], domain)
         for arity in arities:
             assert pol(kept_rels, arity) == pol(invariants, arity)
     # with no generators every relation is invariant: the maximal ones miss one tuple each
     every = [sum(1 << BOOL.tuple_index(t) for t in r) for r in inv(opset([]), 3)]
-    assert sorted(m.bit_count() for m in _maximal_invariants(every, 8)) == [7] * 8
+    assert sorted(m.bit_count() for m in oracle_maximal_invariants(every, 8)) == [7] * 8
+    # one per orbit of the avoided tuple: 000, 001, 011 and 111
+    assert sorted(m.bit_count() for m in _maximal_invariants(every, BOOL, 3)) == [7] * 4
+
+
+def _permuted(mask, domain, arity, perm):
+    """The bitmask of the relation whose tuples are (t[perm[0]], ...) for
+    each tuple t of the relation with bitmask mask."""
+    return sum(
+        1 << domain.tuple_index([t[p] for p in perm])
+        for i, t in enumerate(domain.tuples(arity))
+        if mask >> i & 1
+    )
+
+
+def _random_generators(rng, domain):
+    """Zero to two random operations of arity 0..2, or near-projections,
+    which keep many invariants."""
+    return [
+        near_projection(rng, domain, rng.randint(1, 2)) if rng.random() < 0.5
+        else random_operation(rng, domain, rng.randint(0, 2))
+        for _ in range(rng.randint(0, 2))
+    ]
+
+
+def test_maximal_invariants_are_the_oracles_up_to_coordinate_permutations():
+    subsets = [gens for n in range(5) for gens in combinations((AND, OR, NOT, XOR), n)]
+    cases = [(BOOL, gens, k) for gens in subsets for k in (1, 2, 3)]
+    cases += [(BOOL, (f,), 4) for f in (AND, NOT, XOR)]
+    three_min = Operation(THREE, 2, tuple(min(a, b) for a in range(3) for b in range(3)))
+    three_neg = Operation(THREE, 1, (2, 1, 0))
+    cases += [(THREE, gens, k) for gens in ((), (three_min,), (three_neg,), (three_min, three_neg)) for k in (1, 2)]
+    rng = random.Random(181)
+    for _ in range(150):
+        domain, k = rng.choice(((BOOL, 1), (BOOL, 2), (BOOL, 3), (THREE, 1), (THREE, 2)))
+        cases.append((domain, _random_generators(rng, domain), k))
+    assert any(f.arity == 0 for _, gens, _ in cases for f in gens)
+    for domain, gens, k in cases:
+        masks = _invariant_masks(opset(gens, domain), k, Limits())
+        kept = _maximal_invariants(masks, domain, k)
+        want = set(oracle_maximal_invariants(masks, domain.size**k))
+        assert set(kept) <= want
+        assert {_permuted(m, domain, k, p) for m in kept for p in permutations(range(k))} == want
+
+
+def test_galois_check_matches_the_all_arity_all_x_oracle():
+    rng = random.Random(182)
+    verdicts = {"PASS": 0, "FAIL": 0, "refused": 0}
+    for _ in range(100):
+        domain, n = rng.choice(((BOOL, 1), (BOOL, 2), (THREE, 1)))
+        gens = opset(_random_generators(rng, domain), domain)
+        max_k = rng.randint(1, domain.size**n + 1)
+        try:
+            report = galois_check(gens, n, max_k=max_k)
+        except ResourceBoundError as refusal:
+            with pytest.raises(ResourceBoundError, match=f"^{re.escape(str(refusal))}$"):
+                oracle_galois_recovered(gens, n, max_k)
+            verdicts["refused"] += 1
+            continue
+        count, recovered = oracle_galois_recovered(gens, n, max_k)
+        assert (report.invariant_count, report.recovered_ops) == (count, recovered)
+        clone = {f.table for f in report.clone_ops}
+        assert {f.table for f in report.witnesses} == clone ^ {f.table for f in recovered}
+        verdicts["PASS" if report.passed else "FAIL"] += 1
+    assert min(verdicts.values()) >= 5, verdicts
 
 
 def _cylinder(r, pos):
@@ -295,11 +363,13 @@ def test_core_has_no_repeated_column_and_no_cylinder_coordinate():
 
 
 def _kept_invariants(gens, arity):
-    """The relations galois_check hands to pol for the clone of gens."""
+    """The maximal invariants of every arity k <= d^arity and every avoided
+    tuple (see oracle_maximal_invariants) for the clone of gens: the
+    relations of the all-arity, all-x check."""
     kept = []
     for k in range(1, BOOL.size**arity + 1):
         masks = _invariant_masks(opset(gens), k, Limits())
-        kept += _relations(BOOL, k, _maximal_invariants(masks, BOOL.size**k))
+        kept += _relations(BOOL, k, oracle_maximal_invariants(masks, BOOL.size**k))
     return kept
 
 
@@ -316,6 +386,17 @@ def test_pol_constrains_by_cores():
     kept = _kept_invariants([AND, NOT], 2)
     assert {_core(r) for r in kept} - {Relation.full(BOOL, 0)} == {Relation.empty(BOOL, 0)}
     assert len(pol(relation_set(kept), 2, limits=Limits(max_candidates=16))) == 16
+
+
+def test_galois_check_hands_pol_one_maximal_invariant_per_orbit_at_max_k():
+    # what galois_check hands pol for {AND} at n = 2 (max_k = 4), against
+    # the 53 relations, 14 cores and 1,350 combinations of every arity and x
+    kept = _relations(BOOL, 4, _maximal_invariants(_invariant_masks(opset([AND]), 4, Limits()), BOOL, 4))
+    cores = {_core(r) for r in kept} - {Relation.full(BOOL, 0)}
+    assert (len(kept), len(cores), sum(len(c) ** 2 for c in cores)) == (11, 5, 509)
+    assert pol(relation_set(kept), 2, limits=Limits(max_candidates=509)) == galois_check(opset([AND]), 2).clone_ops
+    with pytest.raises(ResourceBoundError, match=r"^pol constraints at arity 2 needs 509, more than max_candidates \(508\)$"):
+        pol(relation_set(kept), 2, limits=Limits(max_candidates=508))
 
 
 def test_pol_table_cap():
