@@ -39,9 +39,9 @@ from helpers import (
     op,
     opset,
     oracle_core,
-    oracle_galois_recovered,
     oracle_inv,
     oracle_invariant_closure,
+    oracle_kept_invariants,
     oracle_maximal_invariants,
     oracle_pol,
     oracle_preserves,
@@ -249,10 +249,11 @@ def test_galois_check_matches_the_all_arity_all_x_oracle():
             report = galois_check(gens, n, max_k=max_k)
         except ResourceBoundError as refusal:
             with pytest.raises(ResourceBoundError, match=f"^{re.escape(str(refusal))}$"):
-                oracle_galois_recovered(gens, n, max_k)
+                oracle_kept_invariants(gens, max_k)
             verdicts["refused"] += 1
             continue
-        count, recovered = oracle_galois_recovered(gens, n, max_k)
+        count, kept = oracle_kept_invariants(gens, max_k)
+        recovered = pol(relation_set(kept, domain), n)
         assert (report.invariant_count, report.recovered_ops) == (count, recovered)
         clone = {f.table for f in report.clone_ops}
         assert {f.table for f in report.witnesses} == clone ^ {f.table for f in recovered}
@@ -362,19 +363,9 @@ def test_core_has_no_repeated_column_and_no_cylinder_coordinate():
                 assert len({t[:j] + t[j + 1 :] for t in core}) * domain.size > len(core)
 
 
-def _kept_invariants(gens, arity):
-    """The maximal invariants of every arity k <= d^arity and every avoided
-    tuple (see oracle_maximal_invariants) for the clone of gens: the
-    relations of the all-arity, all-x check."""
-    kept = []
-    for k in range(1, BOOL.size**arity + 1):
-        masks = _invariant_masks(opset(gens), k, Limits())
-        kept += _relations(BOOL, k, oracle_maximal_invariants(masks, BOOL.size**k))
-    return kept
-
-
 def test_pol_constrains_by_cores():
-    kept = _kept_invariants([AND], 2)
+    # the maximal invariants of {AND} of every arity k <= 4, avoiding every x
+    kept = oracle_kept_invariants(opset([AND]), 4)[1]
     cores = {_core(r) for r in kept} - {Relation.full(BOOL, 0)}
     assert (len(kept), sum(len(r) ** 2 for r in kept)) == (53, 5958)
     assert (len(cores), sum(len(c) ** 2 for c in cores)) == (14, 1350)
@@ -383,7 +374,7 @@ def test_pol_constrains_by_cores():
     with pytest.raises(ResourceBoundError, match=r"^pol constraints at arity 2 needs 1350, more than max_candidates \(1349\)$"):
         pol(relation_set(kept), 2, limits=Limits(max_candidates=1349))
     # a complete generating set leaves only the empty core: no combinations
-    kept = _kept_invariants([AND, NOT], 2)
+    kept = oracle_kept_invariants(opset([AND, NOT]), 4)[1]
     assert {_core(r) for r in kept} - {Relation.full(BOOL, 0)} == {Relation.empty(BOOL, 0)}
     assert len(pol(relation_set(kept), 2, limits=Limits(max_candidates=16))) == 16
 
