@@ -728,6 +728,16 @@ def random_relation(rng, domain, arity, name="", allow_empty=True, max_size=None
     return Relation(domain, arity, tuple(chosen), name=name)
 
 
+def cylinder(r, pos):
+    """r x A, the new coordinate at position pos."""
+    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (a,) + t[pos:] for t in r for a in r.domain.elements()))
+
+
+def repeat_column(r, col, pos):
+    """r with a copy of column col inserted at position pos."""
+    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (t[col],) + t[pos:] for t in r))
+
+
 def random_formula(rng, domain, rels_by_name, max_atoms=4, max_exists=3):
     """A random pp formula whose relation atoms draw from rels_by_name."""
     n_free = rng.randint(1, 3)

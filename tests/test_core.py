@@ -38,11 +38,14 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    cylinder,
+    near_projection,
     oracle_blocks,
     oracle_compose,
     oracle_preserves,
     random_operation,
     random_relation,
+    repeat_column,
 )
 
 
@@ -273,6 +276,30 @@ def test_preserves_matches_unrolled_oracle():
             for _ in range(3):
                 f = random_operation(rng, BOOL, m)
                 assert preserves(f, r) == oracle_preserves(f, r)
+    # relations that their core shrinks: cylinder coordinates and repeated
+    # columns inserted at random positions, and full, empty and arity-0
+    # ones, on d = 1..3 under operations of arity 0-3, near-projections
+    # among them so that both verdicts come up often
+    verdicts = {True: 0, False: 0}
+    for domain in (Domain(1), BOOL, THREE):
+        cases = [make(domain, k) for make in (Relation.empty, Relation.full) for k in range(4)]
+        for _ in range(80):
+            r = random_relation(rng, domain, rng.randint(0, 2), max_size=6)
+            for _ in range(rng.randint(0, 2)):
+                r = cylinder(r, rng.randint(0, r.arity))
+            for _ in range(rng.randint(0, 2) if r.arity else 0):
+                r = repeat_column(r, rng.randrange(r.arity), rng.randint(0, r.arity))
+            cases.append(r)
+        for r in cases:
+            for m in range(4):
+                if len(r) ** m > 5000:  # keeps the unrolled oracle quick
+                    continue
+                near = m and domain.size > 1 and rng.random() < 0.5
+                f = near_projection(rng, domain, m) if near else random_operation(rng, domain, m)
+                verdict = preserves(f, r)
+                assert verdict == oracle_preserves(f, r), (f, r)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_row_images_match_pointwise_apply():

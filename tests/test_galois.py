@@ -35,6 +35,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    cylinder,
     near_projection,
     op,
     opset,
@@ -48,6 +49,7 @@ from helpers import (
     random_operation,
     random_relation,
     relation_set,
+    repeat_column,
 )
 
 
@@ -261,16 +263,6 @@ def test_galois_check_matches_the_all_arity_all_x_oracle():
     assert min(verdicts.values()) >= 5, verdicts
 
 
-def _cylinder(r, pos):
-    """r x A, the new coordinate at position pos."""
-    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (a,) + t[pos:] for t in r for a in r.domain.elements()))
-
-
-def _repeat(r, col, pos):
-    """r with a copy of column col inserted at position pos."""
-    return Relation(r.domain, r.arity + 1, tuple(t[:pos] + (t[col],) + t[pos:] for t in r))
-
-
 def _proper_relation(rng, domain):
     """A random relation of arity 1 or 2, neither empty nor full."""
     arity = rng.randint(1, 2)
@@ -285,8 +277,8 @@ def test_pol_by_cores_matches_the_filtering_oracle():
     for domain, count in ((BOOL, 6), (THREE, 3)):
         for case in range(count):
             a, b = (_proper_relation(rng, domain) for _ in "ab")
-            rels = [a, _repeat(a, rng.randrange(a.arity), rng.randint(0, a.arity)), b]
-            rels += [_cylinder(b, pos) for pos in range(b.arity + 1)]
+            rels = [a, repeat_column(a, rng.randrange(a.arity), rng.randint(0, a.arity)), b]
+            rels += [cylinder(b, pos) for pos in range(b.arity + 1)]
             rels.append(Relation.full(domain, rng.randint(1, 2)))
             if case % 2:
                 rels.append(Relation.empty(domain, rng.randint(1, 2)))
@@ -298,7 +290,7 @@ def test_pol_by_cores_matches_the_filtering_oracle():
 
 def test_core_merges_columns_and_drops_cylinders():
     assert _core(LEQ) == LEQ
-    assert _core(_repeat(_cylinder(NEQ, 1), 0, 3)) == NEQ
+    assert _core(repeat_column(cylinder(NEQ, 1), 0, 3)) == NEQ
     assert _core(Relation.full(THREE, 3)) == Relation.full(THREE, 0)
     for arity in (0, 1, 3):
         assert _core(Relation.empty(BOOL, arity)) == Relation.empty(BOOL, 0)
@@ -318,10 +310,10 @@ def test_cylinders_keep_the_core():
         for _ in range(20):
             r = random_relation(rng, domain, rng.randint(0, 3), max_size=6)
             for pos in range(r.arity + 1):
-                assert _core(_cylinder(r, pos)) == _core(r)
+                assert _core(cylinder(r, pos)) == _core(r)
         # tuple ranks past 64 bits
-        wide = _repeat(Relation(domain, 70, [[rng.randrange(domain.size) for _ in range(70)] for _ in range(9)]), 3, 70)
-        assert _core(_cylinder(wide, 35)) == _core(wide) and _core(wide).arity < wide.arity
+        wide = repeat_column(Relation(domain, 70, [[rng.randrange(domain.size) for _ in range(70)] for _ in range(9)]), 3, 70)
+        assert _core(cylinder(wide, 35)) == _core(wide) and _core(wide).arity < wide.arity
 
 
 def test_core_matches_the_oracle():
@@ -336,14 +328,14 @@ def test_core_matches_the_oracle():
         for _ in range(300):
             r = random_relation(rng, domain, rng.randint(0, 3), max_size=12)
             for _ in range(rng.randint(0, 2)):
-                r = _cylinder(r, rng.randint(0, r.arity))
+                r = cylinder(r, rng.randint(0, r.arity))
             for _ in range(rng.randint(0, 2) if r.arity else 0):
-                r = _repeat(r, rng.randrange(r.arity), rng.randint(0, r.arity))
+                r = repeat_column(r, rng.randrange(r.arity), rng.randint(0, r.arity))
             cases.append(r)
     for arity, size in ((400, 100), (200, 200)):
         wide = Relation(BOOL, arity, [[rng.randrange(2) for _ in range(arity)] for _ in range(size)])
-        cases += [wide, _cylinder(_repeat(wide, 7, 150), 99)]
-    cases.append(_cylinder(_repeat(Relation(Domain(300), 2, [(0, 299), (299, 1), (5, 5)]), 0, 2), 1))
+        cases += [wide, cylinder(repeat_column(wide, 7, 150), 99)]
+    cases.append(cylinder(repeat_column(Relation(Domain(300), 2, [(0, 299), (299, 1), (5, 5)]), 0, 2), 1))
     for r in cases:
         assert _core(r) == oracle_core(r), r
 
@@ -354,7 +346,7 @@ def test_core_has_no_repeated_column_and_no_cylinder_coordinate():
         for _ in range(60):
             r = random_relation(rng, domain, rng.randint(0, 4), max_size=12)
             if rng.random() < 0.5 and r.arity:
-                r = _repeat(r, rng.randrange(r.arity), rng.randint(0, r.arity))
+                r = repeat_column(r, rng.randrange(r.arity), rng.randint(0, r.arity))
             core = _core(r)
             assert core.is_empty == r.is_empty and (core.arity == 0 or not core.is_full)
             columns = list(zip(*core.tuples))
