@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .clones import clone_closure, essential_variables, graph_relation
 from .core import Domain, Operation, Relation, RelationSet, _check_count
-from .errors import ParseError, ResourceBoundError
+from .errors import ResourceBoundError
 from .galois import galois_check, inv, pol
 from .limits import Limits
 from .partitions import diagonal_relation, format_partition, ideal_downset, parse_partition
@@ -240,8 +240,6 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     try:
         limits = Limits.from_env()
         summary, lines = args.handler(args, limits)
-    except ParseError as exc:
-        return 2, "", f"error: {exc}\n"
     except ResourceBoundError as exc:
         return 3, "", f"error: {exc}\n"
     except (ValueError, OSError) as exc:

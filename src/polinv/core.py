@@ -13,8 +13,8 @@ All values are immutable after construction.  The member sets
 OperationSet and RelationSet live here too, next to their members, and
 so does a relation's core (_core): the relation with repeated columns
 merged and cylinder coordinates dropped, which has the same
-polymorphisms.  pol constrains by cores and the finitary preservation
-check of a diagonal relation decides on one.
+polymorphisms.  preserves decides on the core and pol constrains by
+cores.
 """
 
 from __future__ import annotations
@@ -387,13 +387,15 @@ def row_images(
 def preserves(f: Operation, r: Relation) -> bool:
     """True iff f applied row-wise to any tuples of r lands back in r.
 
-    Exhaustive over all len(r)^arity(f) row choices.  A nullary f has one
+    Decided on r's core (see _core), which has the same polymorphisms:
+    exhaustive over all |core|^arity(f) row choices.  A nullary f has one
     (empty) row choice, so it preserves r iff r contains the constant
     tuple of f's value; in particular no nullary operation preserves an
-    empty relation.
+    empty relation, whose core is the empty relation of arity 0.
     """
     if f.domain != r.domain:
         raise ValueError("operation and relation over different domains")
+    r = _core(r)
     tset = set(r.tuples)
     lookup = lookup_table(f.table, f.domain.size, f.arity)
     return all(t in tset for t in row_images(lookup, product(r.tuples, repeat=f.arity), r.arity))
@@ -404,8 +406,9 @@ def _core(r: Relation) -> Relation:
     each coordinate over which it is a full cylinder dropped: one whose
     removal leaves |r| / d tuples.  Identifying coordinates and adding or
     removing fictitious ones keep a relation's polymorphisms, so r and its
-    core have the same ones.  A full relation's core is {()}; the empty
-    relation's is the empty relation of arity 0.
+    core have the same ones, nullary ones included; preserves decides on
+    it, and pol constrains by it.  A full relation's core is {()}; the
+    empty relation's is the empty relation of arity 0.
 
     Three counts spare most projections.  A relation of d^c tuples over c
     distinct columns is full, so every coordinate goes untested (every

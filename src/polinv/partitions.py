@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Domain, Operation, Partition, Relation, _check_count, _common_refinement, _core, _groups, preserves
+from .core import Domain, Operation, Partition, Relation, _check_count, _common_refinement, _groups, preserves
 from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -164,14 +164,11 @@ def check_finitary_preservation(
 ) -> bool:
     """Whether op preserves the ideal's diagonal relation over op's domain.
 
-    Decided on the diagonal's core (see core._core), which has the same
-    polymorphisms: the diagonal holds every assignment of values to the
-    blocks of the ideal's finest member, so it is full over its distinct
-    columns, its core is {()} and the answer costs one row combination.
-    The candidate cap still counts the diagonal's |diag|^arity."""
-    diag = diagonal_relation(ideal, op.domain, limits=limits)
-    limits.check("max_candidates", len(diag) ** op.arity, "finitary preservation check")
-    return preserves(op, _core(diag))
+    preserves decides on the diagonal's core: the diagonal holds every
+    assignment of values to the blocks of the ideal's finest member, so it
+    is full over its distinct columns, its core is {()} and the answer
+    costs one row combination.  Only building the diagonal is capped."""
+    return preserves(op, diagonal_relation(ideal, op.domain, limits=limits))
 
 
 def parse_partition(text: str, index_size: int) -> Partition:

@@ -260,32 +260,32 @@ def parse_pp_file(text: str) -> tuple[PPFormula, ...]:
 def _atom_table(
     atom: Atom, env: dict[str, Relation], domain: Domain
 ) -> tuple[list[str], set[tuple[int, ...]]]:
-    """Variables (first occurrence order, deduplicated) and satisfying rows."""
+    """Variables (first occurrence order, deduplicated) and satisfying rows.
+
+    An equality atom x = y is the rows (a, a) over (x, y).  A variable
+    repeated in an atom, x = x included, keeps the rows that agree at its
+    positions, projected onto its first one."""
     if isinstance(atom, EqualityAtom):
-        if atom.left == atom.right:
-            return [atom.left], {(a,) for a in domain.elements()}
-        return [atom.left, atom.right], {(a, a) for a in domain.elements()}
-    rel = env.get(atom.relation)
-    if rel is None:
-        raise ValueError(f"unbound relation name: {atom.relation}")
-    if rel.arity != len(atom.variables):
-        raise ValueError(
-            f"relation {atom.relation} has arity {rel.arity}, "
-            f"atom supplies {len(atom.variables)} variables"
-        )
-    cols: list[str] = []
-    keep: list[int] = []
+        variables, tuples = _atom_variables(atom), [(a, a) for a in domain.elements()]
+    else:
+        rel = env.get(atom.relation)
+        if rel is None:
+            raise ValueError(f"unbound relation name: {atom.relation}")
+        if rel.arity != len(atom.variables):
+            raise ValueError(
+                f"relation {atom.relation} has arity {rel.arity}, "
+                f"atom supplies {len(atom.variables)} variables"
+            )
+        variables, tuples = atom.variables, rel.tuples
     first_at: dict[str, int] = {}
-    for j, v in enumerate(atom.variables):
-        if v not in first_at:
-            first_at[v] = j
-            cols.append(v)
-            keep.append(j)
-    rows = set()
-    for t in rel.tuples:
-        if all(t[j] == t[first_at[v]] for j, v in enumerate(atom.variables)):
-            rows.add(tuple(t[j] for j in keep))
-    return cols, rows
+    for j, v in enumerate(variables):
+        first_at.setdefault(v, j)
+    if len(first_at) == len(variables):
+        return list(first_at), set(tuples)
+    keep = list(first_at.values())
+    repeats = [(j, first_at[v]) for j, v in enumerate(variables) if first_at[v] != j]
+    rows = {tuple(t[j] for j in keep) for t in tuples if all(t[j] == t[i] for j, i in repeats)}
+    return list(first_at), rows
 
 
 def _join(

@@ -13,7 +13,6 @@ import pytest
 
 from polinv import (
     ResourceBoundError,
-    check_finitary_preservation,
     clone_closure,
     clone_contains,
     diagonal_relation,
@@ -90,10 +89,6 @@ REFUSALS = {
     "diagonal_relation": (
         lambda lim: diagonal_relation(ideal_downset([], 3), BOOL, limits=lim),
         "max_materialize", 8, "diagonal relation",
-    ),
-    "check_finitary_preservation": (
-        lambda lim: check_finitary_preservation(AND, ideal_downset([], 3), limits=lim),
-        "max_candidates", 4, "finitary preservation check",
     ),
     "load_workspace domain": (
         lambda lim: load_workspace([DATA / "leq.rel"], limits=lim),

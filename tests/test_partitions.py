@@ -19,7 +19,6 @@ from polinv import (
     kernel_partition,
     parse_partition,
     partition_lattice,
-    preserves,
 )
 from polinv.limits import Limits
 from polinv.partitions import bell_number
@@ -286,13 +285,10 @@ def test_finitary_preservation_matches_the_exhaustive_check():
     assert checked == 2 * 4 * 23 - 1
 
 
-def test_finitary_preservation_cap_counts_row_combinations():
-    ideal = ideal_downset([P01_2], 3)  # its diagonal on d=2 has 4 tuples
-    tight = Limits(max_candidates=15)
-    with pytest.raises(ResourceBoundError, match=r"^finitary preservation check needs 16, more than max_candidates \(15\)$"):
-        check_finitary_preservation(AND, ideal, limits=tight)
-    assert check_finitary_preservation(NOT, ideal, limits=tight)
-    assert check_finitary_preservation(AND, ideal, limits=Limits(max_candidates=16))
+def test_finitary_preservation_passes_a_candidate_cap_of_one():
+    # every diagonal's core is {()}, so the check applies one row
+    # combination however many the diagonal itself has (here 2^2)
+    assert check_finitary_preservation(AND, ideal_downset([], 3), limits=Limits(max_candidates=1))
 
 
 def test_image_kernel_coarsens_the_row_meet():
