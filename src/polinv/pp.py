@@ -280,10 +280,10 @@ def _atom_table(
     first_at: dict[str, int] = {}
     for j, v in enumerate(variables):
         first_at.setdefault(v, j)
-    if len(first_at) == len(variables):
+    repeats = [(j, first_at[v]) for j, v in enumerate(variables) if first_at[v] != j]
+    if not repeats:
         return list(first_at), set(tuples)
     keep = list(first_at.values())
-    repeats = [(j, first_at[v]) for j, v in enumerate(variables) if first_at[v] != j]
     rows = {tuple(t[j] for j in keep) for t in tuples if all(t[j] == t[i] for j, i in repeats)}
     return list(first_at), rows
 
