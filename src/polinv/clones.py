@@ -4,14 +4,15 @@ over operation sets held as core.OperationSet values.
 The n-ary members of the clone generated by F, held as value tables, are
 the subuniverse of (A^(A^n); F) generated by the n projections (Poeschel
 & Kaluznin 1979; Szendrei 1986).  graph_relation, clone_contains and
-galois.galois_check close that one arity; clone_closure composes every
-arity up to a bound at once.
+galois.galois_check close that one arity; clone_closure closes every
+arity up to a bound.  All of them, and invariant_closure, run the one
+semi-naive loop _closing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, filterfalse, product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .core import Operation, OperationSet, Relation, _check_count, lookup_table, make_projection, row_images
@@ -76,49 +77,39 @@ def clone_closure(
     """Least composition-closed operation set of arity <= max_arity.
 
     Seeded with every projection of arity 1..max_arity, then the
-    generators (the first name given to a table wins); closed under
-    compose(f, gs) for any member f and same-arity member tuples gs whose
-    common arity stays within the bound.  Fixpoint by breadth-first
-    rounds on value tables: each round applies every member f through
-    row_images to the table combinations of each arity's pool, skipping
-    those where neither f nor any g is new since the previous round, and
-    builds an Operation only for a table it does not hold yet.  Refuses
-    tables of more than max_materialize entries, a round of more than
-    max_candidates combinations and more than max_closure members, the
-    seeds included.  Nullary members come only from nullary
+    generators (the first name given to a table wins).  Each pass closes
+    every arity's pool of tables, widest first, with _closing under the
+    members that are not seeded projections (applying a projection adds
+    nothing), and builds an Operation only for a table it does not hold
+    yet; a pass that adds no member ends the loop.  The first pass closes
+    under the generators, so it gives each arity's slice (see
+    _clone_slice), and the second, under every member, confirms them.
+    Refuses tables of more than max_materialize entries, a round of more
+    than max_candidates new row combinations and more than max_closure
+    members, the seeds included.  Nullary members come only from nullary
     generators: with none, the arity-0 pool stays empty.
     """
     _check_bound(generators, max_arity)
     domain = generators.domain
     d = domain.size
     limits.check("max_materialize", d**max_arity, f"clone closure table at arity {max_arity}")
-    projections = (make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n))
+    projections = [make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n)]
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
     for f in chain(projections, generators):
         members.setdefault((f.arity, f.table), f)
     limits.check("max_closure", len(members), "clone closure")
+    seeded = {(p.arity, p.table) for p in projections}
 
-    fresh = set(members)
-    while fresh:
-        pools: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_arity + 1)}
-        for n, table in members:
-            pools[n].append(table)
-        combos = sum(len(pool) ** m for m, _ in members for pool in pools.values())
-        limits.check("max_candidates", combos, "clone closure round")
-        fresh_tables = {n: {t for k, t in fresh if k == n} for n in pools}
-        produced: set[tuple[int, tuple[int, ...]]] = set()
-        for m, f_table in list(members):
-            lookup = lookup_table(f_table, d, m)
-            for n, pool in pools.items():
-                gss: Iterable[tuple[tuple[int, ...], ...]] = product(pool, repeat=m)
-                if (m, f_table) not in fresh:  # skip what an earlier round composed
-                    gss = filterfalse(fresh_tables[n].isdisjoint, gss)
-                for table in row_images(lookup, gss, d**n):
-                    if (n, table) not in members:
-                        members[n, table] = Operation(domain, n, table)
-                        produced.add((n, table))
-                        limits.check("max_closure", len(members), "clone closure")
-        fresh = produced
+    held = 0
+    while held < len(members):
+        held = len(members)
+        ops = OperationSet(domain, tuple(f for key, f in members.items() if key not in seeded))
+        for n in range(max_arity, -1, -1):
+            pool = {t for k, t in members if k == n}
+            others = len(members) - len(pool)
+            for size in _closing(ops, pool, d**n, limits, "clone closure round"):
+                limits.check("max_closure", others + size, "clone closure")
+            members.update(((n, t), Operation(domain, n, t)) for t in pool if (n, t) not in members)
     return OperationSet(domain, tuple(members.values()))
 
 
@@ -133,7 +124,9 @@ def _closing(
     tuple new in the previous round (new rows at the first new position,
     older rows before it, any rows after it).  The round guard counts
     those combinations alone, |all|^m - |older|^m per member of arity m,
-    and refuses a round under what, the caller's name for it.
+    and refuses a round under what, the caller's name for it.  Its callers
+    close a relation (invariant_closure), one arity's slice of a clone
+    (_clone_slice) and each arity's pool of clone_closure.
     """
     current.update((f.table[0],) * width for f in ops if not f.arity)
     lookups = [(f.arity, lookup_table(f.table, ops.domain.size, f.arity)) for f in ops if f.arity]
@@ -165,17 +158,10 @@ def invariant_closure(
     Semi-naive rounds (see _closing): a round that would apply more than
     max_candidates new row combinations is refused.
     """
-    domain = ops.domain
-    current: set[tuple[int, ...]] = set()
-    for t in seeds:
-        t = tuple(t)
-        if len(t) != arity:
-            raise ValueError(f"seed {t} has length {len(t)}, expected arity {arity}")
-        current.add(t)
-    Relation(domain, arity, tuple(current))  # validates entry ranges
+    current = set(Relation(ops.domain, arity, tuple(seeds)).tuples)  # validates the seeds
     for _ in _closing(ops, current, arity, limits, f"invariant closure round at arity {arity}"):
         pass
-    return Relation(domain, arity, tuple(current))
+    return Relation(ops.domain, arity, tuple(current))
 
 
 def _clone_slice(ops: OperationSet, arity: int, limits: Limits) -> set[tuple[int, ...]]:

@@ -316,10 +316,11 @@ def test_resource_bounds_are_exit_3():
             ["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"],
             "diag --domain needs 9, more than max_domain (4)",
         ),
-        # the closure's third round would enumerate 939,113,757 (f, gs) pairs
+        # the confirming pass's first round on the 256 ternary tables would apply
+        # every member but the projections: 253 * 256^3 + 14 * 256^2 + 3 * 256
         (
             ["clone-gen", "--ops", BOOL_OPS, "--max-arity", "3"],
-            "clone closure round needs 939113757, more than max_candidates (10000000)",
+            "clone closure round needs 4245553920, more than max_candidates (10000000)",
         ),
     ]
     for argv, message in refusals:

@@ -42,7 +42,7 @@ REFUSALS = {
     ),
     "clone_closure round": (
         lambda lim: clone_closure(opset([OR, NOT]), 2, limits=lim),
-        "max_candidates", 4432, "clone closure round",
+        "max_candidates", 3632, "clone closure round",
     ),
     "clone_closure members": (
         lambda lim: clone_closure(opset([OR, NOT]), 2, limits=lim),
