@@ -384,6 +384,19 @@ def test_diag_stdout_matches_golden_files():
         assert out == (GOLDEN / name).read_text()
 
 
+
+def test_clone_gen_stdout_matches_golden_files():
+    # recorded from the dict-keyed row kernel; any rebuild of the closure
+    # or of its kernel must reproduce these bytes
+    cases = (
+        (["--ops", str(DATA / "minneg3.ops"), "--max-arity", "2"], "clone_gen_minneg3_a2.out"),
+        (["--ops", AND_OPS, "--max-arity", "3"], "clone_gen_and_a3.out"),
+    )
+    for argv, name in cases:
+        code, out, err = run(["clone-gen", *argv])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
 def test_diag_refusals_are_pinned():
     expected = {
         ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),
