@@ -12,10 +12,10 @@ semi-naive loop _closing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .core import Operation, OperationSet, Relation, _check_count, lookup_table, make_projection, row_images
+from .core import Operation, OperationSet, Relation, _check_count, make_projection, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -121,25 +121,27 @@ def _closing(
 
     Semi-naive: the nullary members' constant tuples join the seeds, and
     each round applies a member only to the row combinations that hold a
-    tuple new in the previous round (new rows at the first new position,
-    older rows before it, any rows after it).  The round guard counts
-    those combinations alone, |all|^m - |older|^m per member of arity m,
-    and refuses a round under what, the caller's name for it.  Its callers
+    tuple new in the previous round: one row_images call per first new
+    position, with new rows there, older rows before it and any rows
+    after it.  The round guard counts those combinations alone,
+    |all|^m - |older|^m per member of arity m, and refuses a round under
+    what, the caller's name for it.  Its callers
     close a relation (invariant_closure), one arity's slice of a clone
     (_clone_slice) and each arity's pool of clone_closure.
     """
     current.update((f.table[0],) * width for f in ops if not f.arity)
-    lookups = [(f.arity, lookup_table(f.table, ops.domain.size, f.arity)) for f in ops if f.arity]
+    d, applied = ops.domain.size, [f for f in ops if f.arity]
     older: list[tuple[int, ...]] = []
     fresh = list(current)
     while fresh:
         every = older + fresh
-        combos = sum(len(every) ** m - len(older) ** m for m, _ in lookups)
+        combos = sum(len(every) ** f.arity - len(older) ** f.arity for f in applied)
         limits.check("max_candidates", combos, what)
         produced: set[tuple[int, ...]] = set()
-        for m, lookup in lookups:
-            by_first_fresh = (product(*[older] * i, fresh, *[every] * (m - 1 - i)) for i in range(m))
-            produced.update(row_images(lookup, chain.from_iterable(by_first_fresh), width))
+        for f in applied:
+            for i in range(f.arity):
+                row_lists = [older] * i + [fresh] + [every] * (f.arity - 1 - i)
+                produced.update(row_images(f.table, d, width, row_lists))
         older, fresh = every, list(produced - current)
         current.update(fresh)
         yield len(current)

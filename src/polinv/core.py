@@ -14,15 +14,18 @@ OperationSet and RelationSet live here too, next to their members, and
 so does a relation's core (_core): the relation with repeated columns
 merged and cylinder coordinates dropped, which has the same
 polymorphisms.  preserves decides on the core and pol constrains by
-cores.
+cores.  Here too is row_images, the one kernel that applies an
+operation to rows coordinatewise: compose, preserves, the clone and
+invariant closures (clones._closing), and the constraint and pin cells
+of pol's search (galois._table_search, pp._reachable) all call it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
-from operator import attrgetter
+from itertools import chain, product, repeat
+from operator import add, attrgetter, getitem, mul
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 
@@ -55,16 +58,6 @@ class Domain:
         for a in t:
             idx = idx * self.size + a
         return idx
-
-    def tuple_at(self, arity: int, index: int) -> tuple[int, ...]:
-        """Inverse of tuple_index for the given arity."""
-        _check_count(arity, "arity", 0)
-        if not 0 <= index < self.size**arity:
-            raise ValueError(f"index {index} out of range for arity {arity}")
-        out = [0] * arity
-        for pos in range(arity - 1, -1, -1):
-            index, out[pos] = divmod(index, self.size)
-        return tuple(out)
 
 
 def _check_values(values: Iterable[int], size: int, what: str) -> None:
@@ -334,7 +327,8 @@ def make_projection(domain: Domain, arity: int, index: int, name: str | None = N
 
 def compose(f: Operation, gs: Sequence[Operation], arity: int | None = None) -> Operation:
     """Superposition f(g_0(args), ..., g_{m-1}(args)), computed by
-    row_images as f applied coordinatewise to the tables of gs.
+    row_images as f applied coordinatewise to the tables of gs, one row
+    list each.
 
     All of gs must share one arity, which becomes the result arity; when
     f is nullary gs is empty and the result arity must be passed
@@ -359,29 +353,38 @@ def compose(f: Operation, gs: Sequence[Operation], arity: int | None = None) -> 
             raise ValueError("composing a nullary operation requires an explicit result arity")
         n = arity
     d = f.domain.size
-    (table,) = row_images(lookup_table(f.table, d, f.arity), [[g.table for g in gs]], d**n)
+    (table,) = row_images(f.table, d, d**n, [(g.table,) for g in gs])
     return Operation(f.domain, n, table)
 
 
-def lookup_table(table: Iterable[int], d: int, arity: int) -> dict[tuple[int, ...], int]:
-    """A value table keyed by argument tuple.  With range(d**arity) as
-    the table it maps each argument tuple to its cell."""
-    return dict(zip(product(range(d), repeat=arity), table))
-
-
 def row_images(
-    lookup: dict[tuple[int, ...], int],
-    combos: Iterable[Sequence[tuple[int, ...]]],
-    width: int,
+    table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence[tuple[int, ...]]]
 ) -> Iterator[tuple[int, ...]]:
-    """The coordinatewise image of each combination of rows of the given
-    width under a lookup from lookup_table.  A nullary lookup maps its one
-    (empty) combination to the constant tuple of its value."""
-    if () in lookup:
-        const = (lookup[()],) * width
-        return (const for _ in combos)
-    get = lookup.__getitem__
-    return (tuple(map(get, zip(*rows))) for rows in combos)
+    """The coordinatewise image under table, an operation's value table
+    on {0, ..., d-1} of arity m = len(row_lists), of each combination in
+    product(*row_lists) of rows of the given width, in that order.  With
+    range(d**m) as the table each image holds the cells its columns index.
+
+    The table is split once into its d^(m-1) rows of d values.  Each head
+    (the first m-1 rows of a combination) is folded into one cell index
+    per column, which picks one such row per column; every last row is
+    then mapped through those rows at C level.  A nullary table yields
+    its one constant tuple.
+    """
+    if not row_lists:
+        yield (table[0],) * width
+        return
+    *heads, lasts = row_lists
+    if not heads:  # a unary table is its one row, read by every column
+        yield from map(tuple, map(map, repeat(getitem), repeat([table] * width), lasts))
+        return
+    rows = [table[j : j + d] for j in range(0, len(table), d)]
+    for first, *rest in product(*heads):
+        cells: Iterable[int] = first
+        for row in rest:
+            cells = map(add, map(mul, cells, repeat(d)), row)
+        cell_rows = list(map(rows.__getitem__, cells))
+        yield from map(tuple, map(map, repeat(getitem), repeat(cell_rows), lasts))
 
 
 def preserves(f: Operation, r: Relation) -> bool:
@@ -397,8 +400,7 @@ def preserves(f: Operation, r: Relation) -> bool:
         raise ValueError("operation and relation over different domains")
     r = _core(r)
     tset = set(r.tuples)
-    lookup = lookup_table(f.table, f.domain.size, f.arity)
-    return all(t in tset for t in row_images(lookup, product(r.tuples, repeat=f.arity), r.arity))
+    return all(t in tset for t in row_images(f.table, f.domain.size, r.arity, [r.tuples] * f.arity))
 
 
 def _core(r: Relation) -> Relation:

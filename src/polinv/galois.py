@@ -19,13 +19,11 @@ core.RelationSet values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from .clones import graph_relation
-from .core import (
-    Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, lookup_table, row_images
-)
+from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -167,13 +165,12 @@ def _table_search(
     limits.check("max_candidates", d**cells, f"pol at arity {arity}")
     cores = dict.fromkeys(r for r in map(_core, rels) if not r.is_full)  # each once, in order
     limits.check("max_candidates", sum(len(r) ** arity for r in cores), f"pol constraints at arity {arity}")
-    cell_of = lookup_table(range(cells), d, arity)
     # checks[c] pairs each row combination whose highest output cell is c,
     # as the cells it reads, with the tuple set its image must land in
     checks: list[list[tuple[set[tuple[int, ...]], tuple[int, ...]]]] = [[] for _ in range(cells)]
     for r in cores:
         tset = set(r.tuples)
-        for vec in row_images(cell_of, product(r.tuples, repeat=arity), r.arity):
+        for vec in row_images(range(cells), d, r.arity, [r.tuples] * arity):
             checks[max(vec, default=0)].append((tset, vec))
 
     def search(pins: dict[int, int], first: bool) -> list[tuple[int, ...]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Union
 
-from .core import Domain, Operation, Relation, RelationSet, lookup_table, row_images
+from .core import Domain, Operation, Relation, RelationSet, row_images
 from .errors import ParseError
 from .galois import _table_search
 from .limits import DEFAULT_LIMITS, Limits
@@ -349,7 +349,7 @@ def _reachable(
     d = r.domain.size
     t = len(r)
     search = _table_search(rels, t, limits)
-    (cells,) = row_images(lookup_table(range(d**t), d, t), [r.tuples], r.arity)
+    (cells,) = row_images(range(d**t), d, r.arity, [(row,) for row in r.tuples])
     # x is fixed by its values on the distinct cells, so equal columns
     # take one value and no x with conflicting pins is ever tried
     pinned = sorted(set(cells))

@@ -75,6 +75,20 @@ def oracle_compose(f, gs, arity):
     return Operation(domain, arity, tuple(table))
 
 
+def oracle_row_images(table, d, width, row_lists):
+    """The coordinatewise image of each combination in product(*row_lists)
+    under table, keyed by argument tuple: the dict-keyed kernel that
+    core.row_images replaced.  Each combination's columns are zipped and
+    each column tuple is looked up; a nullary table maps its one (empty)
+    combination to the constant tuple of its value."""
+    lookup = dict(zip(product(range(d), repeat=len(row_lists)), table))
+    combos = product(*row_lists)
+    if () in lookup:
+        const = (lookup[()],) * width
+        return [const for _ in combos]
+    return [tuple(lookup[col] for col in zip(*rows)) for rows in combos]
+
+
 def oracle_clone_closure(generators, max_arity, domain):
     """The clone closure by the naive fixpoint, as {(arity, table): name}:
     seeded with the projections (named pr<i>_<n>), then the generators,

@@ -384,7 +384,6 @@ def test_diag_stdout_matches_golden_files():
         assert out == (GOLDEN / name).read_text()
 
 
-
 def test_clone_gen_stdout_matches_golden_files():
     # recorded from the dict-keyed row kernel; any rebuild of the closure
     # or of its kernel must reproduce these bytes

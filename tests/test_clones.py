@@ -38,6 +38,7 @@ from helpers import (
 MIN3 = op([min(x, y) for x, y in THREE.tuples(2)], domain=THREE, name="min")
 SUC3 = op([(x + 1) % 3 for x in range(3)], domain=THREE, name="suc")
 PLUS3 = op([(x + y) % 3 for x, y in THREE.tuples(2)], domain=THREE, name="plus")
+NEG3 = op([2 - x for x in range(3)], domain=THREE, name="neg")
 # Webb's function max(x, y) + 1 mod 3 generates every operation on {0, 1, 2}
 WEBB3 = op([(max(x, y) + 1) % 3 for x, y in THREE.tuples(2)], domain=THREE, name="webb")
 
@@ -180,6 +181,25 @@ def test_closure_matches_the_naive_oracle():
         got = {(f.arity, f.table): f.name for f in clone_closure(opset(gens, domain), max_arity)}
         assert got == oracle_clone_closure(opset(gens, domain), max_arity, domain), (trial, gens)
 
+
+
+def test_closure_is_the_union_of_its_slices():
+    # the generator sets of the closure benchmark: every member of
+    # clone_closure(F, n) is reached within its own arity's slice, and
+    # the closure holds every slice; {plus, suc} and {min, neg} close d=3
+    # under two generators
+    cases = [
+        (BOOL, 3, [[NOT], [XOR], [AND], [AND, OR], [XOR, NOT]]),
+        (THREE, 2, [[MIN3], [SUC3], [PLUS3], [PLUS3, SUC3], [MIN3, NEG3]]),
+    ]
+    sizes = []
+    for domain, max_arity, generator_sets in cases:
+        for gens in generator_sets:
+            ops = opset(gens, domain)
+            slices = {(k, t) for k in range(1, max_arity + 1) for t in graph_relation(ops, k).tuples}
+            assert {(f.arity, f.table) for f in clone_closure(ops, max_arity)} == slices, gens
+            sizes.append(len(slices))
+    assert sizes == [12, 14, 11, 23, 28, 4, 9, 12, 36, 86]
 
 def test_clone_contains_examples():
     assert not clone_contains(opset([AND]), OR, 2)
