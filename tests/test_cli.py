@@ -396,6 +396,15 @@ def test_clone_gen_stdout_matches_golden_files():
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text()
 
+
+def test_gamma_stdout_matches_golden_file():
+    # np3.ops is the near-projection 1 0 0 1 0 0 1 1, whose ternary slice
+    # (128 members) is the heaviest closure under a ternary generator;
+    # recorded from the row_images kernel
+    code, out, err = run(["gamma", "--ops", str(DATA / "np3.ops"), "--arity", "3"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "gamma_np3_a3.out").read_text()
+
 def test_diag_refusals_are_pinned():
     expected = {
         ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),
