@@ -12,7 +12,7 @@ semi-naive loop _closing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .core import Operation, OperationSet, Relation, _check_count, make_projection, row_images
@@ -121,30 +121,86 @@ def _closing(
 
     Semi-naive: the nullary members' constant tuples join the seeds, and
     each round applies a member only to the row combinations that hold a
-    tuple new in the previous round: one row_images call per first new
+    tuple new in the previous round: one _images call per first new
     position, with new rows there, older rows before it and any rows
-    after it.  The round guard counts those combinations alone,
-    |all|^m - |older|^m per member of arity m, and refuses a round under
-    what, the caller's name for it.  Its callers
-    close a relation (invariant_closure), one arity's slice of a clone
-    (_clone_slice) and each arity's pool of clone_closure.
+    after it, and none for a position with no combination (every position
+    but the first while no row is older).  Rows are keyed as bytes while
+    d <= 256 (tuples beyond), so a member whose d^m cells fit a byte is
+    applied by bytes.translate and a wider one by row_images (see
+    _images); only new images become tuples in current.  The round guard
+    counts the combinations alone, |all|^m - |older|^m per member of
+    arity m, and refuses a round under what, the caller's name for it.
+    Its callers close a relation (invariant_closure), one arity's slice of
+    a clone (_clone_slice) and each arity's pool of clone_closure.
     """
     current.update((f.table[0],) * width for f in ops if not f.arity)
     d, applied = ops.domain.size, [f for f in ops if f.arity]
-    older: list[tuple[int, ...]] = []
-    fresh = list(current)
+    known = set(map(_row_key(d), current))
+    older: list = []
+    fresh = list(known)
     while fresh:
         every = older + fresh
         combos = sum(len(every) ** f.arity - len(older) ** f.arity for f in applied)
         limits.check("max_candidates", combos, what)
-        produced: set[tuple[int, ...]] = set()
+        produced: set = set()
         for f in applied:
-            for i in range(f.arity):
+            for i in range(f.arity if older else 1):
                 row_lists = [older] * i + [fresh] + [every] * (f.arity - 1 - i)
-                produced.update(row_images(f.table, d, width, row_lists))
-        older, fresh = every, list(produced - current)
-        current.update(fresh)
+                produced.update(_images(f.table, d, width, row_lists))
+        older, fresh = every, list(produced - known)
+        known.update(fresh)
+        current.update(map(tuple, fresh))
         yield len(current)
+
+
+def _row_key(d: int) -> type:
+    """How _closing keys a row over {0, ..., d-1}: bytes, one per
+    coordinate, while values fit in a byte, else the tuple itself."""
+    return bytes if d <= 256 else tuple
+
+
+def _images(table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence]) -> Iterator:
+    """The coordinatewise images under table, of arity m = len(row_lists),
+    of the combinations in product(*row_lists) of rows keyed by _row_key,
+    keyed the same way, in no promised order.
+
+    A table with more than 256 cells (or values past a byte) goes through
+    row_images.  A narrower one is padded to 256 bytes and looked up by
+    bytes.translate: a unary table translates each row, and a nullary
+    one the zero row, since its one combination picks cell 0 in every
+    column; a table of arity 2 or more goes through _lane_blocks, one
+    translate per head.
+    """
+    if max(d, d ** len(row_lists)) > 256:
+        return map(_row_key(d), row_images(table, d, width, row_lists))
+    padded = bytes(table).ljust(256, b"\0")
+    *heads, lasts = row_lists or [[bytes(width)]]
+    if not heads:
+        return map(bytes.translate, lasts, repeat(padded))
+    return chain.from_iterable(_lane_blocks(padded, d, width, heads, lasts))
+
+
+def _lane_blocks(
+    padded: bytes, d: int, width: int, heads: Sequence[Sequence[bytes]], lasts: Sequence[bytes]
+) -> Iterator[Iterator[bytes]]:
+    """For each head in product(*heads), the images of it followed by
+    every last row, under a table of d^m <= 256 cells padded to 256 bytes.
+
+    A row of bytes read as a little-endian int holds one coordinate per
+    byte lane.  Head row j times d^(m-1-j), summed over the head, plus a
+    last row hold each column's cell index in its lane, with no carry
+    since every index is below d^m <= 256.  So one head's cells against
+    all last rows are one int: the head repeated once per last row, plus
+    the last rows joined.  Turned back into bytes, that block is looked
+    up by one translate and cut into images.
+    """
+    count = len(lasts)
+    tail = int.from_bytes(b"".join(lasts), "little")
+    cuts = [slice(k * width, k * width + width) for k in range(count)]
+    lanes = [[int.from_bytes(row, "little") * d ** (len(heads) - j) for row in rows] for j, rows in enumerate(heads)]
+    for head in map(sum, product(*lanes)):
+        cells = int.from_bytes(head.to_bytes(width, "little") * count, "little") + tail
+        yield map(cells.to_bytes(count * width, "little").translate(padded).__getitem__, cuts)
 
 
 def invariant_closure(

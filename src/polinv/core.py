@@ -14,10 +14,12 @@ OperationSet and RelationSet live here too, next to their members, and
 so does a relation's core (_core): the relation with repeated columns
 merged and cylinder coordinates dropped, which has the same
 polymorphisms.  preserves decides on the core and pol constrains by
-cores.  Here too is row_images, the one kernel that applies an
-operation to rows coordinatewise: compose, preserves, the clone and
-invariant closures (clones._closing), and the constraint and pin cells
-of pol's search (galois._table_search, pp._reachable) all call it.
+cores.  Here too is row_images, the kernel that applies an operation
+to rows coordinatewise: compose, preserves, and the constraint and pin
+cells of pol's search (galois._table_search, pp._reachable) call it.
+The clone and invariant closures (clones._closing) call it only for a
+member whose table has more than 256 cells; a narrower one is applied
+on byte lanes by bytes.translate (clones._images).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from polinv import (
+    Domain,
     Operation,
     OperationSet,
     ResourceBoundError,
@@ -12,9 +13,11 @@ from polinv import (
     essential_variables,
     galois_check,
     graph_relation,
+    invariant_closure,
     make_projection,
     preserves,
 )
+from polinv.clones import _images
 from polinv.limits import Limits
 
 from helpers import (
@@ -32,6 +35,8 @@ from helpers import (
     opset,
     oracle_clone_closure,
     oracle_compose,
+    oracle_invariant_closure,
+    oracle_row_images,
     random_operation,
 )
 
@@ -182,6 +187,58 @@ def test_closure_matches_the_naive_oracle():
         assert got == oracle_clone_closure(opset(gens, domain), max_arity, domain), (trial, gens)
 
 
+
+def test_images_match_the_dict_keyed_oracle():
+    # _closing's kernel, as sets, at each semi-naive position
+    # [older]*i + [fresh] + [every]*(m-1-i): byte lanes up to 256 cells,
+    # row_images past them on bytes rows (d=2, arity 9) and on tuple rows
+    # past a byte (d=300); a nullary table has the one position []
+    rng = random.Random(37)
+    shapes = [(d, m, 4) for d in (1, 2, 3, 4) for m in range(4)] + [(2, 9, 1), (300, 1, 4)]
+    images = 0
+    for d, m, most in shapes:
+        domain = Domain(d)
+        key = bytes if d <= 256 else tuple
+        for width in range(10):
+            for _ in range(3):
+                table = random_operation(rng, domain, m).table
+                older, fresh = [[tuple(rng.choices(range(d), k=width)) for _ in range(rng.randint(low, most))] for low in (0, 1)]
+                every = older + fresh
+                for row_lists in [[older] * i + [fresh] + [every] * (m - 1 - i) for i in range(m)] or [[]]:
+                    want = set(oracle_row_images(table, d, width, row_lists))
+                    got = _images(table, d, width, [list(map(key, rows)) for rows in row_lists])
+                    assert set(map(tuple, got)) == want, (d, table, row_lists)
+                    images += len(want)
+    assert images > 1000, images
+
+
+def test_closures_with_a_wide_member_match_the_naive_oracles():
+    # members past the byte lanes go through row_images: unary members on
+    # d=300, whose rows are keyed as tuples, and an arity-9 near-projection
+    # on d=2 (with a constant on odd trials), whose rows are keyed as bytes;
+    # unary members into three points keep the d=300 closures small, and the
+    # d=2 closures stay at arity 1 and 2, since the naive fixpoint applies
+    # the arity-9 member to every combination, 4^9 once 4 tuples are held
+    rng = random.Random(43)
+    wide = Domain(300)
+    for trial in range(6):
+        points = rng.sample(range(300), 3)
+        gens = [Operation(wide, 1, tuple(rng.choices(points, k=300)), name=f"g{i}") for i in range(rng.randint(1, 2))]
+        if trial % 2:
+            gens.append(Operation(wide, 0, (rng.randrange(300),), name="c"))
+        ops = opset(gens, wide)
+        closed = oracle_clone_closure(ops, 1, wide)
+        assert {(f.arity, f.table): f.name for f in clone_closure(ops, 1)} == closed, trial
+        assert set(graph_relation(ops, 1).tuples) == {t for k, t in closed if k == 1}, trial
+        seeds = [tuple(rng.choices(range(300), k=2)) for _ in range(rng.randint(1, 3))]
+        assert invariant_closure(ops, seeds, 2) == oracle_invariant_closure(gens, seeds, 2, wide), trial
+    for trial in range(6):
+        gens = [near_projection(rng, BOOL, 9)] + [random_operation(rng, BOOL, 0) for _ in range(trial % 2)]
+        ops = opset(gens)
+        seeds = rng.sample([(0,), (1,)], rng.randint(1, 2))
+        assert invariant_closure(ops, seeds, 1) == oracle_invariant_closure(gens, seeds, 1, BOOL), trial
+        # the unary slice is the closure of the identity's table
+        assert graph_relation(ops, 1) == oracle_invariant_closure(gens, [(0, 1)], 2, BOOL), trial
 
 def test_closure_is_the_union_of_its_slices():
     # the generator sets of the closure benchmark: every member of
