@@ -405,6 +405,7 @@ def test_gamma_stdout_matches_golden_file():
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "gamma_np3_a3.out").read_text()
 
+
 def test_diag_refusals_are_pinned():
     expected = {
         ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),

@@ -187,7 +187,6 @@ def test_closure_matches_the_naive_oracle():
         assert got == oracle_clone_closure(opset(gens, domain), max_arity, domain), (trial, gens)
 
 
-
 def test_images_match_the_dict_keyed_oracle():
     # _closing's kernel, as sets, at each semi-naive position
     # [older]*i + [fresh] + [every]*(m-1-i): byte lanes up to 256 cells,
@@ -216,9 +215,10 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
     # members past the byte lanes go through row_images: unary members on
     # d=300, whose rows are keyed as tuples, and an arity-9 near-projection
     # on d=2 (with a constant on odd trials), whose rows are keyed as bytes;
-    # unary members into three points keep the d=300 closures small, and the
-    # d=2 closures stay at arity 1 and 2, since the naive fixpoint applies
-    # the arity-9 member to every combination, 4^9 once 4 tuples are held
+    # unary members into three points keep the d=300 closures small, and on
+    # d=2 only a unary relation and the unary slice (width 2) are closed,
+    # since the naive fixpoint applies the arity-9 member to every
+    # combination, 4^9 once 4 tuples are held
     rng = random.Random(43)
     wide = Domain(300)
     for trial in range(6):
@@ -239,6 +239,7 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
         assert invariant_closure(ops, seeds, 1) == oracle_invariant_closure(gens, seeds, 1, BOOL), trial
         # the unary slice is the closure of the identity's table
         assert graph_relation(ops, 1) == oracle_invariant_closure(gens, [(0, 1)], 2, BOOL), trial
+
 
 def test_closure_is_the_union_of_its_slices():
     # the generator sets of the closure benchmark: every member of
