@@ -3,10 +3,10 @@ over operation sets held as core.OperationSet values.
 
 The n-ary members of the clone generated by F, held as value tables, are
 the subuniverse of (A^(A^n); F) generated by the n projections (Poeschel
-& Kaluznin 1979; Szendrei 1986).  graph_relation, clone_contains and
-galois.galois_check close that one arity; clone_closure closes every
-arity up to a bound.  All of them, and invariant_closure, run the one
-semi-naive loop _closing.
+& Kaluznin 1979; Szendrei 1986).  _clone_slice closes that one arity,
+for graph_relation, clone_contains and galois.galois_check;
+clone_closure is the union of the slices up to a bound.  The slices and
+invariant_closure run the one semi-naive loop _closing.
 """
 
 from __future__ import annotations
@@ -76,40 +76,28 @@ def clone_closure(
 ) -> OperationSet:
     """Least composition-closed operation set of arity <= max_arity.
 
-    Seeded with every projection of arity 1..max_arity, then the
-    generators (the first name given to a table wins).  Each pass closes
-    every arity's pool of tables, widest first, with _closing under the
-    members that are not seeded projections (applying a projection adds
-    nothing), and builds an Operation only for a table it does not hold
-    yet; a pass that adds no member ends the loop.  The first pass closes
-    under the generators, so it gives each arity's slice (see
-    _clone_slice), and the second, under every member, confirms them.
-    Refuses tables of more than max_materialize entries, a round of more
-    than max_candidates new row combinations and more than max_closure
-    members, the seeds included.  Nullary members come only from nullary
-    generators: with none, the arity-0 pool stays empty.
+    The union of the slices _clone_slice(generators, n) for n = max_arity
+    down to 0, each closed once under the generators.  A table is named
+    by the first projection or generator that has it; every other member
+    has no name.  Refuses tables of more than max_materialize entries
+    before a projection is built, and more than max_closure members, on
+    the projections and generators and after each slice; each slice
+    keeps its own round and size guards.  Nullary members come only from
+    nullary generators: with none, the arity-0 slice is empty.
     """
     _check_bound(generators, max_arity)
     domain = generators.domain
-    d = domain.size
-    limits.check("max_materialize", d**max_arity, f"clone closure table at arity {max_arity}")
+    limits.check("max_materialize", domain.size**max_arity, f"clone closure table at arity {max_arity}")
     projections = [make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n)]
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
     for f in chain(projections, generators):
         members.setdefault((f.arity, f.table), f)
     limits.check("max_closure", len(members), "clone closure")
-    seeded = {(p.arity, p.table) for p in projections}
-
-    held = 0
-    while held < len(members):
-        held = len(members)
-        ops = OperationSet(domain, tuple(f for key, f in members.items() if key not in seeded))
-        for n in range(max_arity, -1, -1):
-            pool = {t for k, t in members if k == n}
-            others = len(members) - len(pool)
-            for size in _closing(ops, pool, d**n, limits, "clone closure round"):
-                limits.check("max_closure", others + size, "clone closure")
-            members.update(((n, t), Operation(domain, n, t)) for t in pool if (n, t) not in members)
+    for n in range(max_arity, -1, -1):
+        for t in _clone_slice(generators, n, limits):
+            if (n, t) not in members:
+                members[n, t] = Operation(domain, n, t)
+        limits.check("max_closure", len(members), "clone closure")
     return OperationSet(domain, tuple(members.values()))
 
 
@@ -130,8 +118,8 @@ def _closing(
     _images); only new images become tuples in current.  The round guard
     counts the combinations alone, |all|^m - |older|^m per member of
     arity m, and refuses a round under what, the caller's name for it.
-    Its callers close a relation (invariant_closure), one arity's slice of
-    a clone (_clone_slice) and each arity's pool of clone_closure.
+    Its callers close a relation (invariant_closure) and one arity's
+    slice of a clone (_clone_slice, which clone_closure calls per arity).
     """
     current.update((f.table[0],) * width for f in ops if not f.arity)
     d, applied = ops.domain.size, [f for f in ops if f.arity]

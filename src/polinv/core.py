@@ -25,7 +25,7 @@ on byte lanes by bytes.translate (clones._images).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import add, attrgetter, getitem, mul
 from typing import Any, Hashable, Iterable, Iterator, Sequence
@@ -101,9 +101,6 @@ class Operation:
     def __call__(self, *args: int) -> int:
         return self.apply(args)
 
-    def renamed(self, name: str) -> "Operation":
-        return replace(self, name=name)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -154,17 +151,6 @@ class Relation:
     def is_full(self) -> bool:
         return len(self.tuples) == self.domain.size**self.arity
 
-    @classmethod
-    def full(cls, domain: Domain, arity: int, name: str = "") -> "Relation":
-        return cls(domain, arity, tuple(domain.tuples(arity)), name=name)
-
-    @classmethod
-    def empty(cls, domain: Domain, arity: int, name: str = "") -> "Relation":
-        return cls(domain, arity, (), name=name)
-
-    def renamed(self, name: str) -> "Relation":
-        return replace(self, name=name)
-
 
 class _MemberSet:
     """The body of OperationSet and RelationSet.  A subclass names the
@@ -191,9 +177,6 @@ class _MemberSet:
         members = getattr(self, self._field)
         i = bisect_left(members, self._key(m), key=self._key)
         return i < len(members) and members[i] == m
-
-    def arity_members(self, arity: int) -> tuple:
-        return tuple(m for m in self if m.arity == arity)
 
 
 @dataclass(frozen=True)

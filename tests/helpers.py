@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 from polinv import (
@@ -50,6 +50,24 @@ def op(table, arity=None, domain=BOOL, name=""):
 
 def rel(tuples, arity, domain=BOOL, name=""):
     return Relation(domain, arity, tuple(tuples), name=name)
+
+
+def full_relation(domain, arity):
+    return Relation(domain, arity, tuple(domain.tuples(arity)))
+
+
+def empty_relation(domain, arity):
+    return Relation(domain, arity, ())
+
+
+def renamed(member, name):
+    """An Operation or Relation under another name, which equality ignores."""
+    return replace(member, name=name)
+
+
+def arity_members(members, arity):
+    """The members of one arity of an OperationSet or RelationSet, in its order."""
+    return tuple(m for m in members if m.arity == arity)
 
 
 AND = op((0, 0, 0, 1), name="AND")

@@ -45,6 +45,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    arity_members,
     naive_eval_pp,
     opset,
     oracle_least_invariant_superset,
@@ -99,7 +100,7 @@ def test_criterion_2_graph_relation_separates_membership():
                 continue
             seen.add(key)
             gamma = graph_relation(clone, 2)
-            members = {f.table for f in clone.arity_members(2)}
+            members = {f.table for f in arity_members(clone, 2)}
             for table in product(range(2), repeat=4):
                 g = Operation(BOOL, 2, table)
                 assert (table in members) == preserves(g, gamma)

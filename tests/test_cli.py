@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -243,8 +244,8 @@ def test_check_fail_verdicts_are_pinned():
 
 
 def test_check_bool_at_arity_3():
-    # closing every arity up to 3 at once never finished on bool.ops; the
-    # ternary slice alone holds all 256 ternary operations
+    # the ternary slice alone: {AND, NOT} is complete, so it holds all 256
+    # ternary operations
     code, out, err = run(["check", "--ops", BOOL_OPS, "--arity", "3", "--max-k", "3"])
     assert (code, err) == (0, "")
     assert out == "check domain=2 arity=3 max-k=3\nclone : 256\ninvariants : 11\nrecovered : 256\nPASS\n"
@@ -316,11 +317,11 @@ def test_resource_bounds_are_exit_3():
             ["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"],
             "diag --domain needs 9, more than max_domain (4)",
         ),
-        # the confirming pass's first round on the 256 ternary tables would apply
-        # every member but the projections: 253 * 256^3 + 14 * 256^2 + 3 * 256
+        # min and x+1 mod 3 are complete (Post 1921), so the binary slice grows
+        # toward all 3^9 tables and one of its rounds outgrows the cap
         (
-            ["clone-gen", "--ops", BOOL_OPS, "--max-arity", "3"],
-            "clone closure round needs 4245553920, more than max_candidates (10000000)",
+            ["clone-gen", "--ops", str(DATA / "minsuc3.ops"), "--max-arity", "2"],
+            "clone slice round at arity 2 needs 25465202, more than max_candidates (10000000)",
         ),
     ]
     for argv, message in refusals:
@@ -385,16 +386,24 @@ def test_diag_stdout_matches_golden_files():
 
 
 def test_clone_gen_stdout_matches_golden_files():
-    # recorded from the dict-keyed row kernel; any rebuild of the closure
-    # or of its kernel must reproduce these bytes
+    # minneg3 and and recorded from the dict-keyed row kernel, bool from the
+    # union of slices; any rebuild of the closure or of its kernel must
+    # reproduce these bytes
     cases = (
         (["--ops", str(DATA / "minneg3.ops"), "--max-arity", "2"], "clone_gen_minneg3_a2.out"),
         (["--ops", AND_OPS, "--max-arity", "3"], "clone_gen_and_a3.out"),
+        (["--ops", BOOL_OPS, "--max-arity", "3"], "clone_gen_bool_a3.out"),
     )
     for argv, name in cases:
         code, out, err = run(["clone-gen", *argv])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text()
+    # {AND, NOT} is complete (Post 1941): bool.ops generates every Boolean
+    # table of arity 1 to 3, and with no nullary generator no constant
+    header, *lines = (GOLDEN / "clone_gen_bool_a3.out").read_text().splitlines()
+    assert header == "clone-gen domain=2 max-arity=3 count=276"
+    tables = [(int(head.split()[2]), tuple(map(int, cells.split()))) for head, cells in (x.split(" : ") for x in lines)]
+    assert sorted(tables) == [(n, t) for n in (1, 2, 3) for t in product((0, 1), repeat=2**n)]
 
 
 def test_gamma_stdout_matches_golden_file():

@@ -30,6 +30,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    arity_members,
     near_projection,
     op,
     opset,
@@ -38,6 +39,7 @@ from helpers import (
     oracle_invariant_closure,
     oracle_row_images,
     random_operation,
+    renamed,
 )
 
 MIN3 = op([min(x, y) for x, y in THREE.tuples(2)], domain=THREE, name="min")
@@ -90,9 +92,9 @@ def test_nullary_generators_need_no_flag():
         domain = gens.domain
         closed = clone_closure(gens, max_arity)
         assert all(g in closed for g in gens)
-        assert [f.table for f in closed.arity_members(0)] == constants
+        assert [f.table for f in arity_members(closed, 0)] == constants
         for n in range(max_arity + 1):
-            members = closed.arity_members(n)
+            members = arity_members(closed, n)
             for table in product(domain.elements(), repeat=domain.size**n):
                 op = Operation(domain, n, table)
                 assert clone_contains(gens, op, max_arity) == (op in members)
@@ -139,8 +141,8 @@ def test_closure_is_closed_under_composition():
 def test_closure_of_or_not_is_everything():
     # {OR, NOT} generates all boolean operations at each arity
     got = clone_closure(opset([OR, NOT]), 2)
-    assert len(got.arity_members(1)) == 4
-    assert len(got.arity_members(2)) == 16
+    assert len(arity_members(got, 1)) == 4
+    assert len(arity_members(got, 2)) == 16
 
 
 def test_closure_generator_above_bound_rejected():
@@ -150,16 +152,20 @@ def test_closure_generator_above_bound_rejected():
 
 
 def test_closure_size_cap():
-    with pytest.raises(ResourceBoundError, match=r"^clone closure needs 8, more than max_closure \(5\)$"):
+    # the binary slice is refused within its own rounds, before the running total
+    with pytest.raises(ResourceBoundError, match=r"^clone slice at arity 2 needs 10, more than max_closure \(5\)$"):
         clone_closure(opset([OR, NOT]), 2, limits=Limits(max_closure=5))
 
 
 def test_closure_round_and_table_caps():
-    # a round counts the new row combinations of one arity's pool; both are
-    # refused in the confirming pass's first round on the widest pool, which
-    # applies every member f but the projections to all |pool|^arity(f)
-    for ops, max_arity, combos in ((opset([MIN3, SUC3], THREE), 2, 36032850), (opset([AND, OR, NOT, XOR]), 3, 4245553920)):
-        with pytest.raises(ResourceBoundError, match=rf"^clone closure round needs {combos}, more than max_candidates \(10000000\)$"):
+    # a round counts the new row combinations of one slice; both sets are
+    # complete, so the widest slice grows toward all 3^9 (d=3, arity 2) or
+    # 2^16 (d=2, arity 4) tables and one of its rounds outgrows the cap
+    for ops, max_arity, combos in ((opset([MIN3, SUC3], THREE), 2, 25465202), (opset([AND, OR, NOT, XOR]), 4, 2864650000)):
+        with pytest.raises(
+            ResourceBoundError,
+            match=rf"^clone slice round at arity {max_arity} needs {combos}, more than max_candidates \(10000000\)$",
+        ):
             clone_closure(ops, max_arity)
     # every projection table is refused before one is built
     with pytest.raises(ResourceBoundError, match=r"^clone closure table at arity 17 needs 131072, more than max_materialize \(65536\)$"):
@@ -277,10 +283,10 @@ def test_clone_contains_checks_the_bound_before_the_operation():
 
 
 def test_operation_set_deduplicates_by_table():
-    s = OperationSet(BOOL, (AND, AND.renamed("conj"), NOT))
+    s = OperationSet(BOOL, (AND, renamed(AND, "conj"), NOT))
     assert len(s) == 2
     assert [op.name for op in s] == ["NOT", "AND"]
-    assert AND.renamed("x") in s and NOT in s
+    assert renamed(AND, "x") in s and NOT in s
     assert OR not in s and IDENT not in s
     assert Operation(THREE, 1, (1, 0, 2)) not in s
     assert Operation(THREE, 0, (1,)) not in OperationSet(BOOL, (Operation(BOOL, 0, (1,)),))
@@ -289,7 +295,7 @@ def test_operation_set_deduplicates_by_table():
 def test_operation_set_canonical_order():
     s = OperationSet(BOOL, (AND, NOT, OR))
     assert [op.arity for op in s] == [1, 2, 2]
-    assert [op.table for op in s.arity_members(2)] == [(0, 0, 0, 1), (0, 1, 1, 1)]
+    assert [op.table for op in arity_members(s, 2)] == [(0, 0, 0, 1), (0, 1, 1, 1)]
 
 
 def test_operation_set_rejects_foreign_domain():
@@ -309,7 +315,7 @@ def test_graph_relation_examples():
 def test_graph_relation_rows_are_member_tables():
     clone = clone_closure(opset([AND]), 2)
     gamma = graph_relation(clone, 2)
-    assert set(gamma.tuples) == {f.table for f in clone.arity_members(2)}
+    assert set(gamma.tuples) == {f.table for f in arity_members(clone, 2)}
     assert gamma.arity == 4
 
 

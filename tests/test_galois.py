@@ -36,6 +36,8 @@ from helpers import (
     THREE,
     XOR,
     cylinder,
+    empty_relation,
+    full_relation,
     near_projection,
     op,
     opset,
@@ -49,16 +51,17 @@ from helpers import (
     random_operation,
     random_relation,
     relation_set,
+    renamed,
     repeat_column,
 )
 
 
 def test_relation_set_deduplicates_and_orders():
-    s = RelationSet(BOOL, (NEQ, LEQ, LEQ.renamed("order")))
+    s = RelationSet(BOOL, (NEQ, LEQ, renamed(LEQ, "order")))
     assert len(s) == 2
     assert s.rels[0] == LEQ  # tuple lists compare lexicographically at equal arity
     assert s.rels[0].name == "leq"
-    assert NEQ in s and LEQ.renamed("other") in s
+    assert NEQ in s and renamed(LEQ, "other") in s
     assert EQ not in s
     assert Relation(THREE, 2, NEQ.tuples) not in s
 
@@ -159,7 +162,7 @@ def test_pol_nullary():
 
 
 def test_pol_of_empty_relation():
-    empty = Relation.empty(BOOL, 2)
+    empty = empty_relation(BOOL, 2)
     assert len(pol(relation_set([empty]), 1)) == 4
     assert len(pol(relation_set([empty]), 0)) == 0
 
@@ -279,9 +282,9 @@ def test_pol_by_cores_matches_the_filtering_oracle():
             a, b = (_proper_relation(rng, domain) for _ in "ab")
             rels = [a, repeat_column(a, rng.randrange(a.arity), rng.randint(0, a.arity)), b]
             rels += [cylinder(b, pos) for pos in range(b.arity + 1)]
-            rels.append(Relation.full(domain, rng.randint(1, 2)))
+            rels.append(full_relation(domain, rng.randint(1, 2)))
             if case % 2:
-                rels.append(Relation.empty(domain, rng.randint(1, 2)))
+                rels.append(empty_relation(domain, rng.randint(1, 2)))
             assert all(_core(r).arity < r.arity for r in rels[1:] if r is not b)
             for arity in (0, 1, 2):
                 got = pol(relation_set(rels, domain), arity)
@@ -291,9 +294,9 @@ def test_pol_by_cores_matches_the_filtering_oracle():
 def test_core_merges_columns_and_drops_cylinders():
     assert _core(LEQ) == LEQ
     assert _core(repeat_column(cylinder(NEQ, 1), 0, 3)) == NEQ
-    assert _core(Relation.full(THREE, 3)) == Relation.full(THREE, 0)
+    assert _core(full_relation(THREE, 3)) == full_relation(THREE, 0)
     for arity in (0, 1, 3):
-        assert _core(Relation.empty(BOOL, arity)) == Relation.empty(BOOL, 0)
+        assert _core(empty_relation(BOOL, arity)) == empty_relation(BOOL, 0)
 
 
 def test_diagonal_relations_have_a_full_core():
@@ -324,7 +327,7 @@ def test_core_matches_the_oracle():
     cases = []
     for domain in (Domain(1), BOOL, THREE):
         for arity in range(4):
-            cases += [Relation.empty(domain, arity), Relation.full(domain, arity)]
+            cases += [empty_relation(domain, arity), full_relation(domain, arity)]
         for _ in range(300):
             r = random_relation(rng, domain, rng.randint(0, 3), max_size=12)
             for _ in range(rng.randint(0, 2)):
@@ -358,7 +361,7 @@ def test_core_has_no_repeated_column_and_no_cylinder_coordinate():
 def test_pol_constrains_by_cores():
     # the maximal invariants of {AND} of every arity k <= 4, avoiding every x
     kept = oracle_kept_invariants(opset([AND]), 4)[1]
-    cores = {_core(r) for r in kept} - {Relation.full(BOOL, 0)}
+    cores = {_core(r) for r in kept} - {full_relation(BOOL, 0)}
     assert (len(kept), sum(len(r) ** 2 for r in kept)) == (53, 5958)
     assert (len(cores), sum(len(c) ** 2 for c in cores)) == (14, 1350)
     # the constraint cap counts the combinations of the cores
@@ -367,7 +370,7 @@ def test_pol_constrains_by_cores():
         pol(relation_set(kept), 2, limits=Limits(max_candidates=1349))
     # a complete generating set leaves only the empty core: no combinations
     kept = oracle_kept_invariants(opset([AND, NOT]), 4)[1]
-    assert {_core(r) for r in kept} - {Relation.full(BOOL, 0)} == {Relation.empty(BOOL, 0)}
+    assert {_core(r) for r in kept} - {full_relation(BOOL, 0)} == {empty_relation(BOOL, 0)}
     assert len(pol(relation_set(kept), 2, limits=Limits(max_candidates=16))) == 16
 
 
@@ -375,7 +378,7 @@ def test_galois_check_hands_pol_one_maximal_invariant_per_orbit_at_max_k():
     # what galois_check hands pol for {AND} at n = 2 (max_k = 4), against
     # the 53 relations, 14 cores and 1,350 combinations of every arity and x
     kept = _relations(BOOL, 4, _maximal_invariants(_invariant_masks(opset([AND]), 4, Limits()), BOOL, 4))
-    cores = {_core(r) for r in kept} - {Relation.full(BOOL, 0)}
+    cores = {_core(r) for r in kept} - {full_relation(BOOL, 0)}
     assert (len(kept), len(cores), sum(len(c) ** 2 for c in cores)) == (11, 5, 509)
     assert pol(relation_set(kept), 2, limits=Limits(max_candidates=509)) == galois_check(opset([AND]), 2).clone_ops
     with pytest.raises(ResourceBoundError, match=r"^pol constraints at arity 2 needs 509, more than max_candidates \(508\)$"):

@@ -40,9 +40,9 @@ REFUSALS = {
         lambda lim: clone_closure(opset([NOT]), 2, limits=lim),
         "max_materialize", 4, "clone closure table at arity 2",
     ),
-    "clone_closure round": (
+    "clone slice round, from clone_closure": (
         lambda lim: clone_closure(opset([OR, NOT]), 2, limits=lim),
-        "max_candidates", 3632, "clone closure round",
+        "max_candidates", 100, "clone slice round at arity 2",
     ),
     "clone_closure members": (
         lambda lim: clone_closure(opset([OR, NOT]), 2, limits=lim),

@@ -9,7 +9,6 @@ from polinv import (
     ParseError,
     Partition,
     PartitionIdeal,
-    Relation,
     ResourceBoundError,
     all_partitions,
     check_finitary_preservation,
@@ -30,6 +29,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    full_relation,
     oracle_diagonal_relation,
     oracle_ideal_downset,
     oracle_is_ideal,
@@ -234,7 +234,7 @@ def test_diagonal_of_full_ideal_is_full_on_two_elements():
     # every tuple over a two-element domain has a kernel with at most two
     # blocks, all of which the full ideal contains
     ideal = ideal_downset([Partition.bottom(3)], 3)
-    assert diagonal_relation(ideal, BOOL) == Relation.full(BOOL, 3)
+    assert diagonal_relation(ideal, BOOL) == full_relation(BOOL, 3)
 
 
 def test_diagonal_on_larger_domain_filters_kernels():

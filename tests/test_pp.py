@@ -28,6 +28,8 @@ from helpers import (
     LEQ,
     NEQ,
     THREE,
+    empty_relation,
+    full_relation,
     naive_eval_pp,
     oracle_parse_pp,
     oracle_parse_pp_file,
@@ -35,6 +37,7 @@ from helpers import (
     random_formula,
     random_relation,
     relation_set,
+    renamed,
 )
 
 ENV = relation_set([LEQ, NEQ, EQ])
@@ -199,7 +202,7 @@ def test_eval_antisymmetry_is_equality():
 
 def test_eval_true_is_full():
     phi = parse_pp("def total(x, y) := true")
-    assert eval_pp(phi, ENV, BOOL) == Relation.full(BOOL, 2)
+    assert eval_pp(phi, ENV, BOOL) == full_relation(BOOL, 2)
 
 
 def test_eval_equality_atom():
@@ -209,14 +212,14 @@ def test_eval_equality_atom():
 
 def test_eval_repeated_variable_in_atom():
     phi = parse_pp("def irref(x) := neq(x, x)")
-    assert eval_pp(phi, ENV, BOOL) == Relation.empty(BOOL, 1)
+    assert eval_pp(phi, ENV, BOOL) == empty_relation(BOOL, 1)
     refl = parse_pp("def refl(x) := leq(x, x)")
-    assert eval_pp(refl, ENV, BOOL) == Relation.full(BOOL, 1)
+    assert eval_pp(refl, ENV, BOOL) == full_relation(BOOL, 1)
 
 
 def test_eval_unconstrained_free_variable_ranges_over_domain():
     phi = parse_pp("def pad(x, y) := leq(x, x)")
-    assert eval_pp(phi, ENV, BOOL) == Relation.full(BOOL, 2)
+    assert eval_pp(phi, ENV, BOOL) == full_relation(BOOL, 2)
 
 
 def test_eval_unknown_relation_name():
@@ -235,7 +238,7 @@ def test_eval_refuses_an_environment_over_another_domain():
     phi = parse_pp("def f(x) := x = x")
     with pytest.raises(ValueError, match="^environment relation over a different domain$"):
         eval_pp(phi, ENV, THREE)
-    assert eval_pp(phi, relation_set([]), THREE) == Relation.full(THREE, 1)
+    assert eval_pp(phi, relation_set([]), THREE) == full_relation(THREE, 1)
 
 
 def test_eval_refuses_two_environment_relations_of_one_name():
@@ -245,7 +248,7 @@ def test_eval_refuses_two_environment_relations_of_one_name():
         with pytest.raises(ValueError, match="^environment holds two relations named 'r'$"):
             eval_pp(phi, env, BOOL)
     # unnamed relations are never looked up, so they may repeat
-    assert eval_pp(phi, relation_set([low, high.renamed(""), NEQ.renamed("")]), BOOL) == low.renamed("f")
+    assert eval_pp(phi, relation_set([low, renamed(high, ""), renamed(NEQ, "")]), BOOL) == renamed(low, "f")
 
 
 def test_eval_matches_naive_oracle():
@@ -287,11 +290,11 @@ def test_pp_closure_examples():
     half = Relation(BOOL, 2, ((0, 1),))
     assert pp_closure_of(half, relation_set([NEQ])).tuples == ((0, 1), (1, 0))
     assert pp_closure_of(LEQ, relation_set([LEQ])) == LEQ
-    assert pp_closure_of(NEQ, relation_set([LEQ])) == Relation.full(BOOL, 2)
+    assert pp_closure_of(NEQ, relation_set([LEQ])) == full_relation(BOOL, 2)
 
 
 def test_pp_closure_of_empty_relation():
-    empty = Relation.empty(BOOL, 2)
+    empty = empty_relation(BOOL, 2)
     # leq admits both constants, so its invariant closure of nothing is
     # the diagonal; neq admits none, so nothing stays nothing
     assert pp_closure_of(empty, relation_set([LEQ])) == EQ
@@ -369,7 +372,7 @@ def test_pp_closure_and_witness_match_enumerate_all_oracle():
     # the pinned early-exit search against the image of every polymorphism;
     # each witness must preserve the environment and break the target
     rng = random.Random(109)
-    cases = [(Relation.empty(BOOL, 2), relation_set([])), (EQ, relation_set([]))]
+    cases = [(empty_relation(BOOL, 2), relation_set([])), (EQ, relation_set([]))]
     for domain, max_size, arities, count in ((BOOL, 4, (1, 2, 3), 60), (THREE, 2, (1, 2), 40)):
         for _ in range(count):
             env = [random_relation(rng, domain, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
