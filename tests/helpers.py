@@ -148,13 +148,19 @@ def oracle_preserves(f, r):
 def oracle_invariant_closure(ops, seeds, arity, domain):
     """Least superset of the seeds closed under every op, by the naive
     fixpoint: each round applies every op pointwise to every combination
-    of the current tuples, until a round adds nothing."""
+    of the current tuples, until a round adds nothing.  Each coordinate's
+    arguments are looked up in the op's table by their lexicographic rank,
+    with no validation per call."""
     current = {tuple(t) for t in seeds}
     while True:
         fresh = set()
         for f in ops:
+            if not f.arity:
+                fresh.add((f.table[0],) * arity)
+                continue
+            cell = {x: i for i, x in enumerate(product(range(domain.size), repeat=f.arity))}
             for rows in product(sorted(current), repeat=f.arity):
-                fresh.add(tuple(f.apply([row[j] for row in rows]) for j in range(arity)))
+                fresh.add(tuple(map(f.table.__getitem__, map(cell.__getitem__, zip(*rows)))))
         if fresh <= current:
             return Relation(domain, arity, tuple(current))
         current |= fresh

@@ -415,6 +415,25 @@ def test_gamma_stdout_matches_golden_file():
     assert out == (GOLDEN / "gamma_np3_a3.out").read_text()
 
 
+def test_check_and_inv_stdout_match_golden_files():
+    # OR's images rank at or above their rows, so its invariant search runs
+    # in reversed rank order; recorded from the search in natural order.
+    # 5100 = 4 + 14 + 122 + 4960 invariants over k = 1..4, the counts of
+    # AND mirrored by x -> 1 - x
+    cases = (
+        (["check", "--ops", str(DATA / "or.ops"), "--arity", "2"], "check_or_a2.out"),
+        (["inv", "--ops", str(DATA / "or.ops"), "--arity", "3"], "inv_or_a3.out"),
+    )
+    for argv, name in cases:
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+    assert (GOLDEN / "check_or_a2.out").read_text().splitlines()[1:] == [
+        "clone : 3", "invariants : 5100", "recovered : 3", "PASS"
+    ]
+    assert (GOLDEN / "inv_or_a3.out").read_text().splitlines()[0] == "inv domain=2 arity=3 count=122"
+
+
 def test_diag_refusals_are_pinned():
     expected = {
         ("0", ""): (2, "error: index_size must be a positive integer, got 0\n"),

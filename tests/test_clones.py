@@ -221,10 +221,10 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
     # members past the byte lanes go through row_images: unary members on
     # d=300, whose rows are keyed as tuples, and an arity-9 near-projection
     # on d=2 (with a constant on odd trials), whose rows are keyed as bytes;
-    # unary members into three points keep the d=300 closures small, and on
-    # d=2 only a unary relation and the unary slice (width 2) are closed,
-    # since the naive fixpoint applies the arity-9 member to every
-    # combination, 4^9 once 4 tuples are held
+    # unary members into three points keep the d=300 closures small; on
+    # d=2 a unary relation, the unary slice (width 2) and, on two trials, a
+    # binary relation from 3 seeds are closed: the naive fixpoint applies
+    # the arity-9 member to every combination, 4^9 once all 4 tuples are held
     rng = random.Random(43)
     wide = Domain(300)
     for trial in range(6):
@@ -238,13 +238,20 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
         assert set(graph_relation(ops, 1).tuples) == {t for k, t in closed if k == 1}, trial
         seeds = [tuple(rng.choices(range(300), k=2)) for _ in range(rng.randint(1, 3))]
         assert invariant_closure(ops, seeds, 2) == oracle_invariant_closure(gens, seeds, 2, wide), trial
+    sizes = []
     for trial in range(6):
         gens = [near_projection(rng, BOOL, 9)] + [random_operation(rng, BOOL, 0) for _ in range(trial % 2)]
         ops = opset(gens)
         seeds = rng.sample([(0,), (1,)], rng.randint(1, 2))
         assert invariant_closure(ops, seeds, 1) == oracle_invariant_closure(gens, seeds, 1, BOOL), trial
+        if trial < 2:  # with and without a constant: the slowest closures here
+            seeds = rng.sample(list(BOOL.tuples(2)), 3)
+            closed = invariant_closure(ops, seeds, 2)
+            assert closed == oracle_invariant_closure(gens, seeds, 2, BOOL), trial
+            sizes.append(len(closed))
         # the unary slice is the closure of the identity's table
         assert graph_relation(ops, 1) == oracle_invariant_closure(gens, [(0, 1)], 2, BOOL), trial
+    assert 4 in sizes, sizes
 
 
 def test_closure_is_the_union_of_its_slices():

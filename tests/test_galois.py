@@ -107,10 +107,66 @@ def test_inv_matches_filtering_oracle():
     minus = op([(x - y) % 3 for x, y in THREE.tuples(2)], domain=THREE)
     monus = op([max(x - y, 0) for x, y in THREE.tuples(2)], domain=THREE)
     cases += [(THREE, [f], k) for f in (minus, monus) for k in (1, 2)]
+    # images ranked at or above their rows: the search runs in reversed order
+    cases += [(BOOL, ops, k) for ops in ([OR], [OR, NOT]) for k in (1, 2, 3)]
+    max3 = op([max(x, y) for x, y in THREE.tuples(2)], domain=THREE)
+    cases += [(THREE, [max3], k) for k in (1, 2)]
     for domain, ops, arity in cases:
         got = {r.tuples for r in inv(opset(ops, domain), arity)}
         want = {r.tuples for r in oracle_inv(ops, arity, domain)}
         assert got == want
+
+
+def _conjugate(f, sigma):
+    """f^sigma: x -> sigma(f(sigma^-1 x)), applied coordinatewise."""
+    back = [sigma.index(a) for a in range(f.domain.size)]
+    table = tuple(sigma[f.table[f.domain.tuple_index([back[a] for a in x])]] for x in f.domain.tuples(f.arity))
+    return Operation(f.domain, f.arity, table)
+
+
+def test_inv_commutes_with_domain_permutations():
+    # Inv(F^sigma) = sigma(Inv F) for every permutation sigma of the domain.
+    # Conjugating by a -> d-1-a reverses the tuple ranks, so outside ties
+    # it swaps the rank order the search runs in: each such pair compares
+    # the two orders.  Ternary members run the wide part of the image table
+    # under either order.
+    rng = random.Random(241)
+    cases = []
+    for domain, ks in ((BOOL, (0, 1, 2, 3)), (THREE, (0, 1, 2))):
+        for trial in range(20):
+            gens = [random_operation(rng, domain, rng.randint(0, 2)) for _ in range(rng.randint(0, 1))]
+            gens.append(near_projection(rng, domain, 3) if trial % 2 else random_operation(rng, domain, rng.randint(1, 3)))
+            cases += [(domain, gens, k) for k in ks]
+    cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
+    assert any(f.arity == 3 for _, gens, _ in cases for f in gens)
+    for domain, gens, k in cases:
+        got = {r.tuples for r in inv(opset(gens, domain), k)}
+        for sigma in permutations(range(domain.size)):
+            moved = inv(opset([_conjugate(f, list(sigma)) for f in gens], domain), k)
+            assert {r.tuples for r in moved} == {
+                tuple(sorted(tuple(sigma[a] for a in t) for t in r)) for r in got
+            }, (gens, k, sigma)
+
+
+def test_galois_check_counts_every_arity_like_the_filtering_oracle():
+    # invariant_count sums the invariants of arities 1..max_k, against the
+    # sweep over all tuple sets at each arity
+    rng = random.Random(242)
+    cases = [(BOOL, [], 1, 3), (THREE, [], 1, 2), (BOOL, [OR], 2, 3), (BOOL, [MAJ], 1, 3)]
+    for domain, most in ((BOOL, 3), (THREE, 2)):
+        for _ in range(20):
+            gens = _random_generators(rng, domain)
+            cases.append((domain, gens, 1, rng.randint(1, most)))
+    assert any(max_k == 1 for *_, max_k in cases)
+    counts = {}
+    for domain, gens, n, max_k in cases:
+        want = 0
+        for k in range(1, max_k + 1):
+            key = (domain.size, tuple((f.arity, f.table) for f in gens), k)
+            if key not in counts:
+                counts[key] = len(oracle_inv(gens, k, domain))
+            want += counts[key]
+        assert galois_check(opset(gens, domain), n, max_k=max_k).invariant_count == want, (gens, max_k)
 
 
 def test_inv_counts_in_closed_form():

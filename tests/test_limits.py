@@ -111,3 +111,29 @@ def test_each_cap_passes_at_the_count_and_refuses_one_below(call, field, count, 
     with pytest.raises(ResourceBoundError) as err:
         call(Limits(**{field: count - 1}))
     assert str(err.value) == f"{what} needs {count}, more than {field} ({count - 1})"
+
+
+def test_galois_check_refuses_at_the_lowest_arity_over_a_cap():
+    # every arity 1..max_k is held to inv's caps in increasing order, each
+    # cap in inv's own order, so a refusal names the lowest arity over a cap
+    # even where the search itself runs only at max_k
+    cases = [
+        ([NOT], 2, "max_candidates", 3, "inv at arity 1 needs 4, more than max_candidates (3)"),
+        ([NOT], 2, "max_candidates", 15, "inv at arity 2 needs 16, more than max_candidates (15)"),
+        ([NOT], 2, "max_candidates", 16, None),
+        ([MAJ], 2, "max_candidates", 7, "inv row combinations at arity 1 needs 8, more than max_candidates (7)"),
+        ([MAJ], 2, "max_candidates", 8, "inv at arity 2 needs 16, more than max_candidates (8)"),
+        ([MAJ], 2, "max_candidates", 63, "inv row combinations at arity 2 needs 64, more than max_candidates (63)"),
+        ([MAJ], 2, "max_candidates", 64, None),
+        ([NOT], 3, "max_materialize", 3, "inv relation at arity 2 needs 4, more than max_materialize (3)"),
+        ([NOT], 3, "max_materialize", 7, "inv relation at arity 3 needs 8, more than max_materialize (7)"),
+        ([NOT], 3, "max_materialize", 8, None),
+    ]
+    for ops, max_k, field, cap, refusal in cases:
+        call = lambda: galois_check(opset(ops), 1, max_k=max_k, limits=Limits(**{field: cap}))
+        if refusal is None:
+            assert call().passed
+            continue
+        with pytest.raises(ResourceBoundError) as err:
+            call()
+        assert str(err.value) == refusal
