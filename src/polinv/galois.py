@@ -2,7 +2,9 @@
 
 inv enumerates every relation of a given arity preserved by all given
 operations (depth-first search over tuple sets in rank order, pruned as
-soon as the set's image holds a tuple it can no longer gain); pol
+soon as the set's image holds a tuple it can no longer gain, with the
+images of row pairs packed into one big int per rank, and run in natural
+or reversed rank order, whichever the image table says prunes sooner); pol
 enumerates every operation of a given arity preserving all given
 relations (depth-first table construction with forward pruning, its
 constraints built from each relation's core as core._core computes it:
@@ -10,21 +12,124 @@ repeated columns merged, cylinder coordinates dropped, full cores
 skipped), and the same backtracker, with some cells pinned and a
 first-solution stop, decides pp-definability.
 galois_check checks that pol recovers a generated clone from its
-invariants up to arity max_k; pol is handed only the maximal ones of
-arity max_k, one per orbit under coordinate permutations.  The
-operation and relation sets on either side are core.OperationSet and
-core.RelationSet values.
+invariants up to arity max_k; it enumerates them once, at arity max_k,
+counts the lower arities as the cylinders among them, and hands pol only
+the maximal ones of arity max_k, one per orbit under coordinate
+permutations.  The operation and relation sets on either side are
+core.OperationSet and core.RelationSet values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
+from operator import lshift, or_
 from typing import Callable, Iterable, Sequence
 
 from .clones import graph_relation
 from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, row_images
 from .limits import DEFAULT_LIMITS, Limits
+
+
+def _check_inv_caps(ops: OperationSet, arity: int, limits: Limits) -> None:
+    """inv's up-front caps at one arity, in the order they refuse: the
+    d^arity tuples of a relation, the 2^(d^arity) tuple sets and the row
+    combinations the image table applies."""
+    size = ops.domain.size**arity
+    limits.check("max_materialize", size, f"inv relation at arity {arity}")
+    limits.check("max_candidates", 2**size, f"inv at arity {arity}")
+    limits.check("max_candidates", sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}")
+
+
+def _image_table(
+    domain: Domain, members: Sequence[tuple[int, tuple[int, ...]]], arity: int
+) -> tuple[int, list[int], list[int], list[dict[tuple[int, ...], int]]]:
+    """The images of every row combination at the given arity under the
+    members, given as (arity, table) pairs, filed by the set of row ranks
+    the combination uses.
+
+    Returns (root, own, lane, wide): root holds the images of the nullary
+    members; own[t] those of row t alone; lane[b], in its bit field t > b
+    (bits t*size up to (t+1)*size), those of exactly rows {t, b}; and
+    wide[t][q] those of t and the two or more lower ranks q, ascending.
+    Each member is applied once to all its row combinations, by index
+    arithmetic.  A unary or binary member is applied to every combination
+    at once, and its own and lane images are ORed in per rank b.  A wider
+    member is applied per first row: the later rows pick per coordinate a
+    table cell below its argument, and each combination is filed by its
+    highest rank.
+    """
+    d = domain.size
+    size = d**arity
+    root = sum({1 << domain.tuple_index((table[0],) * arity) for m, table in members if not m})
+    own, lane = [0] * size, [0] * size
+    spans: list[dict[int, int]] = [{} for _ in range(size)]  # wide, keyed by the bitmask of q
+    fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
+    for m, table in members:
+        if m in (1, 2):
+            # image[p] ranks the image of the cells packed as p, base d^m per
+            # coordinate, and spread[r] packs row r: rows r and s give the
+            # cells d * spread[r] + spread[s]
+            image, spread = [0], [0]
+            for _ in range(arity):
+                image = [g * d + v for g in image for v in table]
+                spread = [x * d**m + a for x in spread for a in range(d)]
+            if m == 1:
+                own[:] = map(or_, own, map(lshift, repeat(1), image))
+                continue
+            for b, p in enumerate(spread):
+                firsts = [image[p * d + x] for x in spread[b:]]  # rows (b, t) for t >= b
+                lasts = [image[x * d + p] for x in spread[b + 1 :]]  # rows (t, b) for t > b
+                own[b] |= 1 << firsts[0]
+                lane[b] |= sum(map(lshift, fields[b + 1 :], firsts[1:])) | sum(map(lshift, fields[b + 1 :], lasts))
+        elif m:
+            step = d ** (m - 1)
+            spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in domain.tuples(arity)]
+            used, cells = [0], [0]
+            for _ in range(m - 1):
+                used = [u | 1 << r for u in used for r in range(size)]
+                cells = [c * d + s for c in cells for s in spread]
+            for r, row in enumerate(domain.tuples(arity)):
+                image = [0]
+                for a in row:
+                    part = table[a * step : (a + 1) * step]
+                    image = [g * d + v for g in image for v in part]
+                for w, c in zip(used, cells):
+                    u = w | 1 << r
+                    t = u.bit_length() - 1
+                    low = u ^ 1 << t
+                    if not low:
+                        own[t] |= 1 << image[c]
+                    elif low & (low - 1):
+                        spans[t][low] = spans[t].get(low, 0) | 1 << image[c]
+                    else:
+                        lane[low.bit_length() - 1] |= fields[t] << image[c]
+    wide = [
+        {tuple(b for b in range(t) if low >> b & 1): bits for low, bits in span.items()} for t, span in enumerate(spans)
+    ]
+    return root, own, lane, wide
+
+
+def _prunes_sooner_reversed(
+    size: int, own: Sequence[int], lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
+) -> bool:
+    """Whether more images in the table rank above the lowest row rank of
+    their combination than below the highest.  An image below the highest
+    rank t, if missing, prunes a branch as soon as t is added; reversing
+    the ranks turns the images above the lowest rank into such images."""
+    full = (1 << size) - 1
+    fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
+    units = sum(fields)
+    under_top = sum(f * ((1 << t) - 1) for t, f in enumerate(fields))
+    below = above = 0
+    for t in range(size):
+        under, over = (1 << t) - 1, full >> t + 1 << t + 1  # the ranks below t and above t
+        below += (own[t] & under).bit_count() + (lane[t] & under_top).bit_count()
+        above += (own[t] & over).bit_count() + (lane[t] & units * over).bit_count()
+        for q, bits in wide[t].items():
+            below += (bits & under).bit_count()
+            above += (bits >> q[0] + 1).bit_count()
+    return above > below
 
 
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
@@ -35,81 +140,57 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     of ops produces from its rows.  Depth-first search adds tuples in
     increasing rank, carrying the image of the set built so far, and
     prunes as soon as the image holds a tuple of rank at most the newest
-    one that the set lacks.  This is exact: the image only grows along a
-    branch and every later tuple ranks higher, so a pruned branch holds
-    no closed set; and each prefix of a closed set misses only image
-    tuples of that set, all ranked above the prefix, so none is pruned.
-    The same argument bounds each child's rank by the lowest missing one.
+    one that the set lacks; testing each node for canonicity this way is
+    the Close-by-One scheme.  This is exact for any total order of the
+    tuples: the image only grows along a branch and every later tuple
+    ranks higher, so a pruned branch holds no closed set; and each prefix
+    of a closed set misses only image tuples of that set, all ranked
+    above the prefix, so none is pruned.  The same argument bounds each
+    child's rank by the lowest missing one.
 
-    Each member is applied once per call to all its row combinations, by
-    index arithmetic: with the first row fixed, the later rows pick per
-    coordinate a table cell below its argument, and image[c] ranks the
-    image of the cells packed as c.  Images are ORed per set of ranks used
-    and filed under its highest rank t: root holds the nullary constants,
-    pair[t][b] the set {t, b} (b == t for {t}), wide[t][q] the set of t and
-    two or more lower ranks q, ascending.  A node adding t ORs in the
-    entries for t and for the subsets of the ranks below it.
+    The images come from one table (see _image_table).  Each node carries
+    acc, the OR of lane[b] over the ranks b on its path, so a child t
+    gains own[t] and field t of acc in O(1) big-int operations, plus
+    wide[t] of each subset of two or more path ranks.  How soon a branch
+    is pruned depends on the order, so the table picks one: when
+    _prunes_sooner_reversed holds, every member is conjugated by
+    a -> d-1-a, which maps the tuple of rank r to the one of rank
+    d^arity-1-r, and each rank found sets the reversed bit of its mask.
     """
-    domain = ops.domain
-    d = domain.size
+    _check_inv_caps(ops, arity, limits)
+    d = ops.domain.size
     size = d**arity
-    limits.check("max_materialize", size, f"inv relation at arity {arity}")
-    limits.check("max_candidates", 2**size, f"inv at arity {arity}")
-    limits.check("max_candidates", sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}")
-    tuples = list(domain.tuples(arity))
-    root = sum({1 << domain.tuple_index((f.table[0],) * arity) for f in ops if not f.arity})
-    images: dict[int, int] = {}  # bitmask of the ranks used -> image
-    for f in (f for f in ops if f.arity):
-        step = d ** (f.arity - 1)
-        spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in tuples]
-        used, cells = [0], [0]
-        for _ in range(f.arity - 1):
-            used = [u | 1 << r for u in used for r in range(size)]
-            cells = [c * d + s for c in cells for s in spread]
-        for r, row in enumerate(tuples):
-            image = [0]
-            for a in row:
-                part = f.table[a * step : (a + 1) * step]
-                image = [g * d + v for g in image for v in part]
-            for u, c in zip([w | 1 << r for w in used], cells):
-                images[u] = images.get(u, 0) | 1 << image[c]
-    pair = [[0] * size for _ in range(size)]
-    wide: list[dict[tuple[int, ...], int]] = [{} for _ in range(size)]
-    for u, bits in images.items():
-        t = u.bit_length() - 1
-        low = u ^ 1 << t
-        if low & (low - 1):
-            wide[t][tuple(b for b in range(t) if low >> b & 1)] = bits
-        else:  # t alone, or t and one lower rank
-            pair[t][(low or u).bit_length() - 1] = bits
+    members = [(f.arity, f.table) for f in ops]
+    root, own, lane, wide = _image_table(ops.domain, members, arity)
+    flip = _prunes_sooner_reversed(size, own, lane, wide)
+    if flip:
+        members = [(m, tuple(d - 1 - v for v in reversed(table))) for m, table in members]
+        root, own, lane, wide = _image_table(ops.domain, members, arity)
     subset_sizes = range(2, ops.max_arity())
-
+    full = (1 << size) - 1
+    below = [(1 << t) - 1 for t in range(size)]
+    shifts = [t * size for t in range(size)]
+    out_bit = [1 << size - 1 - t if flip else 1 << t for t in range(size)]  # the bit rank t sets in a mask found
     found: list[int] = []
-    path: list[int] = []
 
-    def visit(mask: int, img: int, top: int) -> None:
-        missing = img & ~mask
+    def visit(mask: int, img: int, acc: int, top: int, out: int, path: tuple[int, ...]) -> None:
+        lacking = ~mask
+        missing = img & lacking
         if not missing:
-            found.append(mask)
-        last = (missing & -missing).bit_length() - 1 if missing else size - 1
-        for t in range(top + 1, last + 1):
-            grown = mask | 1 << t
-            row = pair[t]
-            new = img | row[t]
-            for b in path:
-                new |= row[b]
+            found.append(out)
+        last = (missing & -missing).bit_length() if missing else size
+        for t in range(top + 1, last):
+            new = img | own[t] | (acc >> shifts[t]) & full
             if wide[t]:
                 get = wide[t].get
                 for j in subset_sizes:
                     for q in combinations(path, j):
                         new |= get(q, 0)
-            if new & ~grown & ((2 << t) - 1):
+            if new & lacking & below[t]:
                 continue
-            path.append(t)
-            visit(grown, new, t)
-            path.pop()
+            visit(mask | 1 << t, new, acc | lane[t], t, out | out_bit[t], path + (t,))
 
-    visit(0, root, -1)
+    visit(0, root, 0, -1, 0, ())
     return found
 
 
@@ -132,8 +213,11 @@ def inv(
     invariant and {} unless ops holds a nullary member.
 
     A pruned depth-first search (see _invariant_masks) whose cost follows
-    the number of invariants; the candidate cap applies up front to the
-    2^(d^arity) tuple sets and to the row combinations of the members.
+    the number of invariants: each node reads the images of its new tuple
+    with the earlier ones from one image table, row pairs in O(1) big-int
+    operations, in the rank order that prunes sooner.  The candidate cap
+    applies up front to the 2^(d^arity) tuple sets and to the row
+    combinations of the members.
     """
     _check_count(arity, "arity", 0)
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
@@ -285,10 +369,15 @@ def galois_check(
     relation set.  Passes when recovery returns exactly those members.
     max_k defaults to d^n, which always suffices: the relation whose tuples
     are the value tables of the n-ary members is itself invariant and
-    separates everything outside the clone.  Every arity is enumerated and
-    counted in increasing order, so its caps refuse in that order, but pol
-    gets only the maximal invariants of arity max_k, one per orbit under
-    coordinate permutations, which suffice (see _maximal_invariants)."""
+    separates everything outside the clone.
+
+    The invariants are enumerated once, at arity max_k, after inv's caps
+    of every arity 1..max_k have been checked in increasing order, so a
+    refusal names the lowest arity over a cap.  The k-ary invariants are
+    counted from those of arity max_k: each k-ary invariant r appears
+    there once, as the cylinder r x A^(max_k - k).  pol gets only the
+    maximal invariants of arity max_k, one per orbit under coordinate
+    permutations, which suffice (see _maximal_invariants)."""
     domain = generators.domain
     _check_count(arity, "arity", 1)
     if max_k is None:
@@ -298,12 +387,20 @@ def galois_check(
     clone_n = OperationSet(domain, tuple(Operation(domain, arity, table) for table in gamma))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.
-    # pol needs only arity max_k: each k-ary invariant r gives the
-    # invariant r x A^(max_k - k), which has the same polymorphisms.
-    invariant_count = 0
-    for k in range(1, max_k + 1):
-        masks = _invariant_masks(generators, k, limits)
-        invariant_count += len(masks)
+    # Each k-ary invariant r gives the invariant r x A^(max_k - k), which
+    # has the same polymorphisms, and r is invariant when that one is.
+    for k in range(1, max_k):
+        _check_inv_caps(generators, k, limits)
+    masks = cylinders = _invariant_masks(generators, max_k, limits)
+    invariant_count = len(masks)
+    # r x A^(max_k - k) is a mask whose blocks of d^(max_k - k) consecutive
+    # ranks are each empty or full; such a mask is one at k + 1 as well, so
+    # the arities are filtered from max_k - 1 down to 1
+    for j in range(1, max_k):
+        fill = (1 << domain.size**j) - 1
+        starts = ((1 << domain.size**max_k) - 1) // fill  # the lowest bit of every block
+        cylinders = [m for m in cylinders if m == (m & starts) * fill]
+        invariant_count += len(cylinders)
     kept = _relations(domain, max_k, _maximal_invariants(masks, domain, max_k))
     recovered = pol(RelationSet(domain, kept), arity, limits=limits)
     witnesses = tuple(op for op in recovered if op not in clone_n)

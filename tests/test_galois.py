@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -20,7 +21,7 @@ from polinv import (
     preserves,
 )
 from polinv.core import _core
-from polinv.galois import _invariant_masks, _maximal_invariants, _relations
+from polinv.galois import _image_table, _invariant_masks, _maximal_invariants, _prunes_sooner_reversed, _relations
 from polinv.limits import Limits
 
 from helpers import (
@@ -138,14 +139,24 @@ def test_inv_commutes_with_domain_permutations():
             gens.append(near_projection(rng, domain, 3) if trial % 2 else random_operation(rng, domain, rng.randint(1, 3)))
             cases += [(domain, gens, k) for k in ks]
     cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
-    assert any(f.arity == 3 for _, gens, _ in cases for f in gens)
+    def reverses(domain, gens, k):
+        _, *table = _image_table(domain, [(f.arity, f.table) for f in gens], k)
+        return _prunes_sooner_reversed(domain.size**k, *table)
+
+    orders = Counter()  # (reversed order, with a ternary member)
     for domain, gens, k in cases:
+        flip = reverses(domain, gens, k)
+        orders[flip, any(f.arity == 3 for f in gens)] += 1
+        # the reversal mirrors the table, so the order picked flips back
+        mirror = list(range(domain.size))[::-1]
+        assert not (flip and reverses(domain, [_conjugate(f, mirror) for f in gens], k))
         got = {r.tuples for r in inv(opset(gens, domain), k)}
         for sigma in permutations(range(domain.size)):
             moved = inv(opset([_conjugate(f, list(sigma)) for f in gens], domain), k)
             assert {r.tuples for r in moved} == {
                 tuple(sorted(tuple(sigma[a] for a in t) for t in r)) for r in got
             }, (gens, k, sigma)
+    assert min(orders[flip, True] for flip in (False, True)) >= 10, orders
 
 
 def test_galois_check_counts_every_arity_like_the_filtering_oracle():
