@@ -111,12 +111,13 @@ def _image_table(
 
 
 def _prunes_sooner_reversed(
-    size: int, own: Sequence[int], lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
+    own: Sequence[int], lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
 ) -> bool:
     """Whether more images in the table rank above the lowest row rank of
     their combination than below the highest.  An image below the highest
     rank t, if missing, prunes a branch as soon as t is added; reversing
     the ranks turns the images above the lowest rank into such images."""
+    size = len(own)
     full = (1 << size) - 1
     fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
     units = sum(fields)
@@ -162,7 +163,7 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     size = d**arity
     members = [(f.arity, f.table) for f in ops]
     root, own, lane, wide = _image_table(ops.domain, members, arity)
-    flip = _prunes_sooner_reversed(size, own, lane, wide)
+    flip = _prunes_sooner_reversed(own, lane, wide)
     if flip:
         members = [(m, tuple(d - 1 - v for v in reversed(table))) for m, table in members]
         root, own, lane, wide = _image_table(ops.domain, members, arity)
