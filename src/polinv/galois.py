@@ -123,6 +123,8 @@ def _prunes_sooner_reversed(
     units = sum(fields)
     under_top = sum(f * ((1 << t) - 1) for t, f in enumerate(fields))
     below = above = 0
+    # lane[t] holds the pairs whose lower rank is t: in its field u, the
+    # bits below u lie below the higher rank and the bits above t above the lower
     for t in range(size):
         under, over = (1 << t) - 1, full >> t + 1 << t + 1  # the ranks below t and above t
         below += (own[t] & under).bit_count() + (lane[t] & under_top).bit_count()
