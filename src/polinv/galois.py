@@ -43,26 +43,26 @@ def _check_inv_caps(ops: OperationSet, arity: int, limits: Limits) -> None:
 
 def _image_table(
     domain: Domain, members: Sequence[tuple[int, tuple[int, ...]]], arity: int
-) -> tuple[int, list[int], list[int], list[dict[tuple[int, ...], int]]]:
+) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
     """The images of every row combination at the given arity under the
     members, given as (arity, table) pairs, filed by the set of row ranks
     the combination uses.
 
-    Returns (root, own, lane, wide): root holds the images of the nullary
-    members; own[t] those of row t alone; lane[b], in its bit field t > b
-    (bits t*size up to (t+1)*size), those of exactly rows {t, b}; and
-    wide[t][q] those of t and the two or more lower ranks q, ascending.
-    Each member is applied once to all its row combinations, by index
-    arithmetic.  A unary or binary member is applied to every combination
-    at once, and its own and lane images are ORed in per rank b.  A wider
-    member is applied per first row: the later rows pick per coordinate a
-    table cell below its argument, and each combination is filed by its
-    highest rank.
+    Returns (root, lane, wide): root holds the images of the nullary
+    members; lane[b], in its bit field t (bits t*size up to (t+1)*size),
+    those of exactly rows {t, b}, so the images of row t alone sit in
+    field t of lane[t] and those of a pair in two lanes; and wide[t][q]
+    those of t and the two or more lower ranks q, ascending.  Each member
+    is applied once to all its row combinations, by index arithmetic.  A
+    unary or binary member is applied to every combination at once, and
+    its images are ORed in one lane at a time.  A wider member is applied
+    per first row: the later rows pick per coordinate a table cell below
+    its argument, and each combination is filed by its ranks.
     """
     d = domain.size
     size = d**arity
     root = sum({1 << domain.tuple_index((table[0],) * arity) for m, table in members if not m})
-    own, lane = [0] * size, [0] * size
+    lane = [0] * size
     spans: list[dict[int, int]] = [{} for _ in range(size)]  # wide, keyed by the bitmask of q
     fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
     for m, table in members:
@@ -75,64 +75,86 @@ def _image_table(
                 image = [g * d + v for g in image for v in table]
                 spread = [x * d**m + a for x in spread for a in range(d)]
             if m == 1:
-                own[:] = map(or_, own, map(lshift, repeat(1), image))
+                lane[:] = map(or_, lane, map(lshift, fields, image))
                 continue
             for b, p in enumerate(spread):
-                firsts = [image[p * d + x] for x in spread[b:]]  # rows (b, t) for t >= b
-                lasts = [image[x * d + p] for x in spread[b + 1 :]]  # rows (t, b) for t > b
-                own[b] |= 1 << firsts[0]
-                lane[b] |= sum(map(lshift, fields[b + 1 :], firsts[1:])) | sum(map(lshift, fields[b + 1 :], lasts))
+                firsts = [image[p * d + x] for x in spread]  # rows (b, t) for every t
+                lasts = [image[x * d + p] for x in spread]  # rows (t, b)
+                lane[b] |= sum(map(lshift, fields, firsts)) | sum(map(lshift, fields, lasts))
         elif m:
             step = d ** (m - 1)
             spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in domain.tuples(arity)]
-            used, cells = [0], [0]
+            later: dict[int, list[int]] = {0: [0]}  # ranks of the later rows -> their packed cells
             for _ in range(m - 1):
-                used = [u | 1 << r for u in used for r in range(size)]
-                cells = [c * d + s for c in cells for s in spread]
+                grown: dict[int, list[int]] = {}
+                for w, cells in later.items():
+                    for s, p in enumerate(spread):
+                        grown.setdefault(w | 1 << s, []).extend([c * d + p for c in cells])
+                later = grown
             for r, row in enumerate(domain.tuples(arity)):
                 image = [0]
                 for a in row:
                     part = table[a * step : (a + 1) * step]
                     image = [g * d + v for g in image for v in part]
-                for w, c in zip(used, cells):
+                for w, cells in later.items():
+                    bits = 0
+                    for c in cells:
+                        bits |= 1 << image[c]
                     u = w | 1 << r
                     t = u.bit_length() - 1
                     low = u ^ 1 << t
-                    if not low:
-                        own[t] |= 1 << image[c]
-                    elif low & (low - 1):
-                        spans[t][low] = spans[t].get(low, 0) | 1 << image[c]
+                    if low & (low - 1):
+                        spans[t][low] = spans[t].get(low, 0) | bits
                     else:
-                        lane[low.bit_length() - 1] |= fields[t] << image[c]
+                        b = (low or u).bit_length() - 1
+                        lane[b] |= fields[t] * bits
+                        lane[t] |= fields[b] * bits
     wide = [
         {tuple(b for b in range(t) if low >> b & 1): bits for low, bits in span.items()} for t, span in enumerate(spans)
     ]
-    return root, own, lane, wide
+    return root, lane, wide
 
 
-def _prunes_sooner_reversed(
-    own: Sequence[int], lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
-) -> bool:
+def _prunes_sooner_reversed(lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]) -> bool:
     """Whether more images in the table rank above the lowest row rank of
     their combination than below the highest.  An image below the highest
     rank t, if missing, prunes a branch as soon as t is added; reversing
     the ranks turns the images above the lowest rank into such images."""
-    size = len(own)
+    size = len(lane)
     full = (1 << size) - 1
     fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
     units = sum(fields)
-    under_top = sum(f * ((1 << t) - 1) for t, f in enumerate(fields))
+    under_top = sum(f * ((1 << t) - 1) for t, f in enumerate(fields))  # in field t, the ranks below t
     below = above = 0
-    # lane[t] holds the pairs whose lower rank is t: in its field u, the
-    # bits below u lie below the higher rank and the bits above t above the lower
-    for t in range(size):
-        under, over = (1 << t) - 1, full >> t + 1 << t + 1  # the ranks below t and above t
-        below += (own[t] & under).bit_count() + (lane[t] & under_top).bit_count()
-        above += (own[t] & over).bit_count() + (lane[t] & units * over).bit_count()
-        for q, bits in wide[t].items():
+    for b in range(size):
+        under, over = (1 << b) - 1, full >> b + 1 << b + 1  # the ranks below b and above b
+        pairs = lane[b] >> b * size << b * size  # the fields t >= b: each pair once
+        below += (pairs & under_top).bit_count()
+        above += (pairs & units * over).bit_count()
+        for q, bits in wide[b].items():
             below += (bits & under).bit_count()
             above += (bits >> q[0] + 1).bit_count()
     return above > below
+
+
+def _mirrored(
+    root: int, lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
+) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
+    """The image table of the members conjugated by a -> d-1-a, which maps
+    the tuple of rank r to the one of rank size-1-r: each set of images
+    is bit-reversed and filed under the reversed ranks.  Reversing all
+    size^2 bits of lane[b] reverses its fields and the bits within each,
+    which gives lane[size-1-b] of the mirror."""
+
+    def flip(x: int, width: int) -> int:
+        return int(f"{x:0{width}b}"[::-1], 2)
+
+    size = len(lane)
+    mirror: list[dict[tuple[int, ...], int]] = [{} for _ in range(size)]
+    for t, entries in enumerate(wide):
+        for q, bits in entries.items():
+            mirror[size - 1 - q[0]][tuple(size - 1 - u for u in (t, *q[:0:-1]))] = flip(bits, size)
+    return flip(root, size), [flip(x, size * size) for x in reversed(lane)], mirror
 
 
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
@@ -153,22 +175,19 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
 
     The images come from one table (see _image_table).  Each node carries
     acc, the OR of lane[b] over the ranks b on its path, so a child t
-    gains own[t] and field t of acc in O(1) big-int operations, plus
+    gains field t of acc | lane[t] in O(1) big-int operations, plus
     wide[t] of each subset of two or more path ranks.  How soon a branch
     is pruned depends on the order, so the table picks one: when
-    _prunes_sooner_reversed holds, every member is conjugated by
-    a -> d-1-a, which maps the tuple of rank r to the one of rank
-    d^arity-1-r, and each rank found sets the reversed bit of its mask.
+    _prunes_sooner_reversed holds, the search runs on the table of the
+    members conjugated by a -> d-1-a (see _mirrored), and each rank found
+    sets the reversed bit of its mask.
     """
     _check_inv_caps(ops, arity, limits)
-    d = ops.domain.size
-    size = d**arity
-    members = [(f.arity, f.table) for f in ops]
-    root, own, lane, wide = _image_table(ops.domain, members, arity)
-    flip = _prunes_sooner_reversed(own, lane, wide)
+    size = ops.domain.size**arity
+    root, lane, wide = _image_table(ops.domain, [(f.arity, f.table) for f in ops], arity)
+    flip = _prunes_sooner_reversed(lane, wide)
     if flip:
-        members = [(m, tuple(d - 1 - v for v in reversed(table))) for m, table in members]
-        root, own, lane, wide = _image_table(ops.domain, members, arity)
+        root, lane, wide = _mirrored(root, lane, wide)
     subset_sizes = range(2, ops.max_arity())
     full = (1 << size) - 1
     below = [(1 << t) - 1 for t in range(size)]
@@ -183,7 +202,8 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
             found.append(out)
         last = (missing & -missing).bit_length() if missing else size
         for t in range(top + 1, last):
-            new = img | own[t] | (acc >> shifts[t]) & full
+            grown = acc | lane[t]
+            new = img | (grown >> shifts[t]) & full
             if wide[t]:
                 get = wide[t].get
                 for j in subset_sizes:
@@ -191,7 +211,7 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
                         new |= get(q, 0)
             if new & lacking & below[t]:
                 continue
-            visit(mask | 1 << t, new, acc | lane[t], t, out | out_bit[t], path + (t,))
+            visit(mask | 1 << t, new, grown, t, out | out_bit[t], path + (t,))
 
     visit(0, root, 0, -1, 0, ())
     return found

@@ -21,7 +21,14 @@ from polinv import (
     preserves,
 )
 from polinv.core import _core
-from polinv.galois import _image_table, _invariant_masks, _maximal_invariants, _prunes_sooner_reversed, _relations
+from polinv.galois import (
+    _image_table,
+    _invariant_masks,
+    _maximal_invariants,
+    _mirrored,
+    _prunes_sooner_reversed,
+    _relations,
+)
 from polinv.limits import Limits
 
 from helpers import (
@@ -139,17 +146,18 @@ def test_inv_commutes_with_domain_permutations():
             gens.append(near_projection(rng, domain, 3) if trial % 2 else random_operation(rng, domain, rng.randint(1, 3)))
             cases += [(domain, gens, k) for k in ks]
     cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
-    def reverses(domain, gens, k):
-        _, *table = _image_table(domain, [(f.arity, f.table) for f in gens], k)
-        return _prunes_sooner_reversed(*table)
+    def table(domain, gens, k):
+        return _image_table(domain, [(f.arity, f.table) for f in gens], k)
 
     orders = Counter()  # (reversed order, with a ternary member)
     for domain, gens, k in cases:
-        flip = reverses(domain, gens, k)
+        _, *lane_wide = table(domain, gens, k)
+        flip = _prunes_sooner_reversed(*lane_wide)
         orders[flip, any(f.arity == 3 for f in gens)] += 1
         # the reversal mirrors the table, so the order picked flips back
-        mirror = list(range(domain.size))[::-1]
-        assert not (flip and reverses(domain, [_conjugate(f, mirror) for f in gens], k))
+        mirrored = table(domain, [_conjugate(f, list(range(domain.size))[::-1]) for f in gens], k)
+        assert mirrored == _mirrored(*table(domain, gens, k))
+        assert not (flip and _prunes_sooner_reversed(*mirrored[1:]))
         got = {r.tuples for r in inv(opset(gens, domain), k)}
         for sigma in permutations(range(domain.size)):
             moved = inv(opset([_conjugate(f, list(sigma)) for f in gens], domain), k)

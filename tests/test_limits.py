@@ -130,10 +130,10 @@ def test_galois_check_refuses_at_the_lowest_arity_over_a_cap():
         ([NOT], 3, "max_materialize", 8, None),
     ]
     for ops, max_k, field, cap, refusal in cases:
-        call = lambda: galois_check(opset(ops), 1, max_k=max_k, limits=Limits(**{field: cap}))
+        limits = Limits(**{field: cap})
         if refusal is None:
-            assert call().passed
+            assert galois_check(opset(ops), 1, max_k=max_k, limits=limits).passed
             continue
         with pytest.raises(ResourceBoundError) as err:
-            call()
+            galois_check(opset(ops), 1, max_k=max_k, limits=limits)
         assert str(err.value) == refusal
