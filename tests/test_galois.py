@@ -146,17 +146,19 @@ def test_inv_commutes_with_domain_permutations():
             gens.append(near_projection(rng, domain, 3) if trial % 2 else random_operation(rng, domain, rng.randint(1, 3)))
             cases += [(domain, gens, k) for k in ks]
     cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
+
     def table(domain, gens, k):
         return _image_table(domain, [(f.arity, f.table) for f in gens], k)
 
     orders = Counter()  # (reversed order, with a ternary member)
     for domain, gens, k in cases:
-        _, *lane_wide = table(domain, gens, k)
-        flip = _prunes_sooner_reversed(*lane_wide)
+        natural = table(domain, gens, k)
+        flip = _prunes_sooner_reversed(*natural[1:])
         orders[flip, any(f.arity == 3 for f in gens)] += 1
-        # the reversal mirrors the table, so the order picked flips back
+        # the table of the members conjugated by a -> d-1-a is the mirrored
+        # one; where the natural table picks the reversed order, it does not
         mirrored = table(domain, [_conjugate(f, list(range(domain.size))[::-1]) for f in gens], k)
-        assert mirrored == _mirrored(*table(domain, gens, k))
+        assert mirrored == _mirrored(*natural)
         assert not (flip and _prunes_sooner_reversed(*mirrored[1:]))
         got = {r.tuples for r in inv(opset(gens, domain), k)}
         for sigma in permutations(range(domain.size)):
