@@ -41,12 +41,9 @@ def _check_inv_caps(ops: OperationSet, arity: int, limits: Limits) -> None:
     limits.check("max_candidates", sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}")
 
 
-def _image_table(
-    domain: Domain, members: Sequence[tuple[int, tuple[int, ...]]], arity: int
-) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
+def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
     """The images of every row combination at the given arity under the
-    members, given as (arity, table) pairs, filed by the set of row ranks
-    the combination uses.
+    members of ops, filed by the set of row ranks the combination uses.
 
     Returns (root, lane, wide): root holds the images of the nullary
     members; lane[b], in its bit field t (bits t*size up to (t+1)*size),
@@ -57,15 +54,18 @@ def _image_table(
     unary or binary member is applied to every combination at once, and
     its images are ORed in one lane at a time.  A wider member is applied
     per first row: the later rows pick per coordinate a table cell below
-    its argument, and each combination is filed by its ranks.
+    its argument, and the images of each set of later rows are ORed and
+    filed together.
     """
+    domain = ops.domain
     d = domain.size
     size = d**arity
-    root = sum({1 << domain.tuple_index((table[0],) * arity) for m, table in members if not m})
+    root = sum({1 << domain.tuple_index((f.table[0],) * arity) for f in ops if not f.arity})
     lane = [0] * size
     spans: list[dict[int, int]] = [{} for _ in range(size)]  # wide, keyed by the bitmask of q
     fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
-    for m, table in members:
+    for f in ops:
+        m, table = f.arity, f.table
         if m in (1, 2):
             # image[p] ranks the image of the cells packed as p, base d^m per
             # coordinate, and spread[r] packs row r: rows r and s give the
@@ -184,7 +184,7 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     """
     _check_inv_caps(ops, arity, limits)
     size = ops.domain.size**arity
-    root, lane, wide = _image_table(ops.domain, [(f.arity, f.table) for f in ops], arity)
+    root, lane, wide = _image_table(ops, arity)
     flip = _prunes_sooner_reversed(lane, wide)
     if flip:
         root, lane, wide = _mirrored(root, lane, wide)

@@ -148,7 +148,7 @@ def test_inv_commutes_with_domain_permutations():
     cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
 
     def table(domain, gens, k):
-        return _image_table(domain, [(f.arity, f.table) for f in gens], k)
+        return _image_table(opset(gens, domain), k)
 
     orders = Counter()  # (reversed order, with a ternary member)
     for domain, gens, k in cases:
