@@ -12,17 +12,21 @@ Grammar (whitespace-insensitive between tokens):
 empty conjunction, so the formula defines the full relation on its free
 variables.
 
-Parsing is one regex pass that cuts the text into tokens, then recursive
-descent over them.  Every malformed text raises ParseError with the line
-and column of the first offending token.
+Parsing is one findall of a token pattern, which cuts the text into token
+strings, then recursive descent over them.  Every malformed text raises
+ParseError at the line and column of its first stray character, or else of
+its first offending token.  Positions are computed only for that error and
+for the line of each "def" in a file, by rescanning with the same pattern.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Union
+from functools import reduce
+from itertools import chain, filterfalse, islice, product
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Union
 
 from .core import Domain, Operation, Relation, RelationSet, row_images
 from .errors import ParseError
@@ -30,6 +34,16 @@ from .galois import _table_search
 from .limits import DEFAULT_LIMITS, Limits
 
 _KEYWORDS = frozenset({"def", "exists", "true"})
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_SPELLABLE = re.compile(rf"(?!(?:def|exists|true)\Z){_NAME}\Z").match
+
+
+def _check_names(names: tuple[str, ...], what: str) -> None:
+    """Refuse a reserved word or a non-NAME, which the grammar cannot spell,
+    in the parser's words; one match per name, since every parse runs this."""
+    for bad in filterfalse(_SPELLABLE, names):
+        raise ValueError(f"reserved word {bad!r} cannot be used as {what}" if bad in _KEYWORDS
+                         else f"expected {what}, found {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +55,8 @@ class RelationAtom:
         object.__setattr__(self, "variables", tuple(self.variables))
         if not self.variables:
             raise ValueError("relation atom needs at least one variable")
+        _check_names((self.relation,), "a relation name")
+        _check_names(self.variables, "a variable")
 
     def to_text(self) -> str:
         return f"{self.relation}({', '.join(self.variables)})"
@@ -51,6 +67,13 @@ class EqualityAtom:
     left: str
     right: str
 
+    def __post_init__(self) -> None:
+        _check_names(self.variables, "a variable")
+
+    @property
+    def variables(self) -> tuple[str, str]:
+        return (self.left, self.right)
+
     def to_text(self) -> str:
         return f"{self.left} = {self.right}"
 
@@ -58,15 +81,10 @@ class EqualityAtom:
 Atom = Union[RelationAtom, EqualityAtom]
 
 
-def _atom_variables(atom: Atom) -> tuple[str, ...]:
-    if isinstance(atom, RelationAtom):
-        return atom.variables
-    return (atom.left, atom.right)
-
-
 @dataclass(frozen=True)
 class PPFormula:
-    """A named pp formula: free variables, existential variables, atoms."""
+    """A named pp formula: free variables, existential variables, atoms;
+    every name one the grammar can spell, so to_text parses back."""
 
     name: str
     free_vars: tuple[str, ...]
@@ -79,15 +97,15 @@ class PPFormula:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.free_vars:
             raise ValueError("a formula needs at least one free variable")
-        declared: set[str] = set()
-        for v in self.free_vars + self.exist_vars:
-            if v in declared:
-                raise ValueError(f"duplicate variable declaration: {v}")
-            declared.add(v)
-        for atom in self.atoms:
-            for v in _atom_variables(atom):
-                if v not in declared:
-                    raise ValueError(f"undeclared variable: {v}")
+        declared = self.free_vars + self.exist_vars
+        _check_names((self.name,), "a formula name")
+        _check_names(declared, "a variable")
+        if len(set(declared)) < len(declared):
+            repeat = next(v for i, v in enumerate(declared) if v in declared[:i])
+            raise ValueError(f"duplicate variable declaration: {repeat}")
+        used = list(chain.from_iterable(atom.variables for atom in self.atoms))
+        if not set(declared).issuperset(used):
+            raise ValueError(f"undeclared variable: {next(v for v in used if v not in declared)}")
 
     @property
     def arity(self) -> int:
@@ -102,153 +120,137 @@ class PPFormula:
         head = f"def {self.name}({', '.join(self.free_vars)}) := "
         if not self.atoms:
             return head + "true"
-        body = ""
-        if self.exist_vars:
-            body += f"exists {', '.join(self.exist_vars)} . "
-        body += " & ".join(a.to_text() for a in self.atoms)
-        return head + body
+        exists = f"exists {', '.join(self.exist_vars)} . " if self.exist_vars else ""
+        return head + exists + " & ".join([a.to_text() for a in self.atoms])
 
 
-# One pattern scans the whole text: the group that matches says whether a
-# piece is a name, punctuation, whitespace or a stray character.
-_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>:=|[(),.&=])|(?P<space>\s+)|(?P<stray>.)")
-
-# (text, line, column, is_name), line and column counted from 1
-_Tok = tuple[str, int, int, bool]
-
-
-def _error(message: str, tok: _Tok) -> ParseError:
-    return ParseError(message, line=tok[1], column=tok[2])
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    """Every token of text in one pass; a stray character is an error."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + m.group().rfind("\n") + 1
-            continue
-        tok = (m.group(), line, m.start() - line_start + 1, kind == "name")
-        if kind == "stray":
-            raise _error(f"unexpected character {m.group()!r}", tok)
-        tokens.append(tok)
-    return tokens
-
-
-def _declare(toks: list[_Tok], declared: set[str]) -> tuple[str, ...]:
-    """Add the variables of a head or exists list, refusing a repeat."""
-    for tok in toks:
-        if tok[0] in declared:
-            raise _error(f"duplicate variable declaration: {tok[0]}", tok)
-        declared.add(tok[0])
-    return tuple(tok[0] for tok in toks)
-
-
-def _use(toks: list[_Tok], declared: set[str]) -> tuple[str, ...]:
-    """The variables of an atom, each of which must be declared."""
-    for tok in toks:
-        if tok[0] not in declared:
-            raise _error(f"undeclared variable: {tok[0]}", tok)
-    return tuple(tok[0] for tok in toks)
+# A token is a name, a piece of punctuation or, failing both, one stray
+# non-whitespace character; the whitespace between tokens matches nothing.
+_TOKEN_RE = re.compile(rf"{_NAME}|:=|[(),.&=]|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCT = frozenset({":=", "(", ")", ",", ".", "&", "="})
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text, one formula at a time.
-
-    Each rule reports the first error it meets at the offending token; a
-    text that ends early is reported just past its last token, or at 1:1
-    when it has none.
+    """Recursive descent over the token strings of one text, one formula at
+    a time.  Each rule reports the first error it meets at the offending
+    token; a text that ends early is reported just past its last token, or
+    at 1:1 when it has none.  A stray character outranks them all (see fail).
     """
 
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    def fail(self, message: str, at: int) -> ParseError:
+        """The error for message at token number at or, if the text holds a
+        stray character, for the first one.  A parse that succeeds has matched
+        every token as a name or punctuation, so strays are sought only here."""
+        for i, tok in enumerate(self.tokens):
+            if tok[0] not in _NAME_START and tok not in _PUNCT:
+                message, at = f"unexpected character {tok!r}", i
+                break
+        offset = 0
+        if self.tokens:
+            match = next(islice(_TOKEN_RE.finditer(self.text), min(at, len(self.tokens) - 1), None))
+            offset = match.start() if at < len(self.tokens) else match.end()
+        column = offset - self.text.rfind("\n", 0, offset)
+        return ParseError(message, line=self.text.count("\n", 0, offset) + 1, column=column)
 
-    def take(self, expected: str | None = None) -> _Tok:
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is text."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def take(self, expected: str | None = None) -> str:
         if self.pos == len(self.tokens):
-            text, line, column, _ = self.tokens[-1] if self.tokens else ("", 1, 1, False)
-            suffix = f", expected {expected!r}" if expected else ""
-            raise ParseError("unexpected end of input" + suffix, line=line, column=column + len(text))
+            raise self.fail("unexpected end of input" + (f", expected {expected!r}" if expected else ""), self.pos)
         tok = self.tokens[self.pos]
-        if expected is not None and tok[0] != expected:
-            raise _error(f"expected {expected!r}, found {tok[0]!r}", tok)
+        if expected is not None and tok != expected:
+            raise self.fail(f"expected {expected!r}, found {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def name(self, what: str) -> _Tok:
+    def name(self, what: str) -> str:
         tok = self.take()
-        if not tok[3]:
-            raise _error(f"expected {what}, found {tok[0]!r}", tok)
-        if tok[0] in _KEYWORDS:
-            raise _error(f"reserved word {tok[0]!r} cannot be used as {what}", tok)
+        if tok[0] not in _NAME_START:
+            raise self.fail(f"expected {what}, found {tok!r}", self.pos - 1)
+        if tok in _KEYWORDS:
+            raise self.fail(f"reserved word {tok!r} cannot be used as {what}", self.pos - 1)
         return tok
 
-    def names(self) -> list[_Tok]:
-        """varlist := VAR { "," VAR }"""
-        out = [self.name("a variable")]
-        while self.peek() == ",":
-            self.pos += 1
-            out.append(self.name("a variable"))
-        return out
+    def names(self) -> tuple[str, ...]:
+        """varlist := VAR { "," VAR }, whose names are every other token"""
+        start = self.pos
+        self.name("a variable")
+        while self.accept(","):
+            self.name("a variable")
+        return tuple(self.tokens[start : self.pos : 2])
+
+    def vet(self, names: tuple[str, ...], at: int, declared: set[str], new: bool) -> tuple[str, ...]:
+        """names, at every other token from token at.  New ones (a head or
+        exists list) must be missing from declared and join it; an atom's must be in it."""
+        for i, v in enumerate(names):
+            if (v in declared) == new:
+                message = "duplicate variable declaration" if new else "undeclared variable"
+                raise self.fail(f"{message}: {v}", at + 2 * i)
+            declared.add(v)
+        return names
 
     def formula(self) -> PPFormula:
         self.take("def")
-        name = self.name("a formula name")[0]
+        name = self.name("a formula name")
         self.take("(")
-        free = self.names()
+        at = self.pos
+        free_vars = self.names()
         self.take(")")
         self.take(":=")
         declared: set[str] = set()
-        free_vars = _declare(free, declared)
-        if self.peek() == "true":
-            self.pos += 1
+        self.vet(free_vars, at, declared, True)
+        if self.accept("true"):
             return PPFormula(name, free_vars, (), ())
         exist_vars: tuple[str, ...] = ()
-        if self.peek() == "exists":
-            self.pos += 1
-            exist = self.names()
+        if self.accept("exists"):
+            at = self.pos
+            exist_vars = self.names()
             self.take(".")
-            exist_vars = _declare(exist, declared)
+            self.vet(exist_vars, at, declared, True)
         atoms: list[Atom] = []
         while True:
+            at = self.pos
             head = self.name("a relation name or variable")
-            follow = self.peek()
-            if follow == "(":
-                self.pos += 1
+            if self.accept("("):
                 args = self.names()
                 self.take(")")
-                atoms.append(RelationAtom(head[0], _use(args, declared)))
-            elif follow == "=":
-                self.pos += 1
-                atoms.append(EqualityAtom(*_use([head, self.name("a variable")], declared)))
-            else:
-                where = head if follow is None else self.tokens[self.pos]
-                raise _error("expected '(' or '=' after name in atom", where)
-            if self.peek() != "&":
+                atoms.append(RelationAtom(head, self.vet(args, at + 2, declared, False)))
+            elif self.accept("="):
+                atoms.append(EqualityAtom(*self.vet((head, self.name("a variable")), at, declared, False)))
+            else:  # at the name itself when the text ends there
+                where = at if self.pos == len(self.tokens) else self.pos
+                raise self.fail("expected '(' or '=' after name in atom", where)
+            if not self.accept("&"):
                 return PPFormula(name, free_vars, exist_vars, tuple(atoms))
-            self.pos += 1
 
     def formulas(self) -> Iterator[tuple[int, PPFormula]]:
         """Each formula to the end of the text, with the line of its "def"."""
+        starts = map(re.Match.start, _TOKEN_RE.finditer(self.text))
+        line, offset, scanned = 1, 0, 0
         while self.pos < len(self.tokens):
-            yield self.tokens[self.pos][1], self.formula()
+            start = next(islice(starts, self.pos - scanned, None))
+            line += self.text.count("\n", offset, start)
+            offset, scanned = start, self.pos + 1
+            yield line, self.formula()
 
 
 def parse_pp(text: str) -> PPFormula:
     """Parse exactly one formula."""
     parser = _Parser(text)
     formula = parser.formula()
-    if parser.peek() is not None:
-        trailing = parser.tokens[parser.pos]
-        raise _error(f"unexpected trailing input {trailing[0]!r}", trailing)
+    if parser.pos < len(parser.tokens):
+        raise parser.fail(f"unexpected trailing input {parser.tokens[parser.pos]!r}", parser.pos)
     return formula
 
 
@@ -257,55 +259,55 @@ def parse_pp_file(text: str) -> tuple[PPFormula, ...]:
     return tuple(phi for _, phi in _Parser(text).formulas())
 
 
-def _atom_table(
-    atom: Atom, env: dict[str, Relation], domain: Domain
-) -> tuple[list[str], set[tuple[int, ...]]]:
+def _getter(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """row -> the tuple of row's entries at positions, taken at C level; a
+    slice stands in where itemgetter gives a bare entry or takes no position."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0))
+
+
+# variables, each once, and the rows of their values
+_Table = tuple[list[str], set[tuple[int, ...]]]
+
+
+def _atom_table(atom: Atom, env: dict[str, Relation], domain: Domain) -> _Table:
     """Variables (first occurrence order, deduplicated) and satisfying rows.
 
     An equality atom x = y is the rows (a, a) over (x, y).  A variable
     repeated in an atom, x = x included, keeps the rows that agree at its
     positions, projected onto its first one."""
     if isinstance(atom, EqualityAtom):
-        variables, tuples = _atom_variables(atom), [(a, a) for a in domain.elements()]
+        variables, tuples = atom.variables, [(a, a) for a in domain.elements()]
     else:
         rel = env.get(atom.relation)
         if rel is None:
             raise ValueError(f"unbound relation name: {atom.relation}")
         if rel.arity != len(atom.variables):
-            raise ValueError(
-                f"relation {atom.relation} has arity {rel.arity}, "
-                f"atom supplies {len(atom.variables)} variables"
-            )
+            raise ValueError(f"relation {atom.relation} has arity {rel.arity}, "
+                             f"atom supplies {len(atom.variables)} variables")
         variables, tuples = atom.variables, rel.tuples
-    first_at: dict[str, int] = {}
-    for j, v in enumerate(variables):
-        first_at.setdefault(v, j)
-    repeats = [(j, first_at[v]) for j, v in enumerate(variables) if first_at[v] != j]
-    if not repeats:
-        return list(first_at), set(tuples)
-    keep = list(first_at.values())
-    rows = {tuple(t[j] for j in keep) for t in tuples if all(t[j] == t[i] for j, i in repeats)}
-    return list(first_at), rows
+    distinct = list(dict.fromkeys(variables))
+    if len(distinct) == len(variables):
+        return distinct, set(tuples)
+    repeats = [j for j, v in enumerate(variables) if variables.index(v) != j]
+    repeated, first = _getter(repeats), _getter([variables.index(variables[j]) for j in repeats])
+    keep = _getter([variables.index(v) for v in distinct])
+    return distinct, {keep(t) for t in tuples if repeated(t) == first(t)}
 
 
-def _join(
-    left: tuple[list[str], set[tuple[int, ...]]],
-    right: tuple[list[str], set[tuple[int, ...]]],
-) -> tuple[list[str], set[tuple[int, ...]]]:
+def _join(left: _Table, right: _Table) -> _Table:
     lvars, lrows = left
     rvars, rrows = right
     common = [v for v in rvars if v in lvars]
-    lpos = [lvars.index(v) for v in common]
-    rpos = [rvars.index(v) for v in common]
     extra = [j for j, v in enumerate(rvars) if v not in lvars]
+    lkey, rkey = _getter([lvars.index(v) for v in common]), _getter([rvars.index(v) for v in common])
+    tail = _getter(extra)
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for row in rrows:
-        index.setdefault(tuple(row[j] for j in rpos), []).append(tuple(row[j] for j in extra))
-    out = set()
-    for row in lrows:
-        for tail in index.get(tuple(row[j] for j in lpos), ()):
-            out.add(row + tail)
-    return lvars + [rvars[j] for j in extra], out
+        index.setdefault(rkey(row), []).append(tail(row))
+    rows = {row + t for row in lrows for t in index.get(lkey(row), ())}
+    return lvars + [rvars[j] for j in extra], rows
 
 
 def eval_pp(formula: PPFormula, env: Iterable[Relation], domain: Domain) -> Relation:
@@ -321,17 +323,15 @@ def eval_pp(formula: PPFormula, env: Iterable[Relation], domain: Domain) -> Rela
             raise ValueError(f"environment holds two relations named {r.name!r}")
         if r.name:
             named[r.name] = r
-    vars_cur: list[str] = []
-    rows_cur: set[tuple[int, ...]] = {()}
-    for atom in formula.atoms:
-        vars_cur, rows_cur = _join((vars_cur, rows_cur), _atom_table(atom, named, domain))
-    for v in formula.free_vars:
-        if v not in vars_cur:
-            vars_cur = vars_cur + [v]
-            rows_cur = {row + (a,) for row in rows_cur for a in domain.elements()}
-    positions = [vars_cur.index(v) for v in formula.free_vars]
-    tuples = {tuple(row[p] for p in positions) for row in rows_cur}
-    return Relation(domain, formula.arity, tuple(tuples), name=formula.name)
+    tables = [_atom_table(atom, named, domain) for atom in formula.atoms]
+    # with no atoms every free variable (one at least) is unconstrained, so tables is never empty
+    bound = set(chain.from_iterable(variables for variables, _ in tables))
+    unconstrained = [v for v in formula.free_vars if v not in bound]
+    if unconstrained:
+        tables.append((unconstrained, set(product(domain.elements(), repeat=len(unconstrained)))))
+    variables, rows = reduce(_join, tables)
+    project = _getter([variables.index(v) for v in formula.free_vars])
+    return Relation(domain, formula.arity, tuple(map(project, rows)), name=formula.name)
 
 
 def _reachable(

@@ -415,6 +415,16 @@ def test_gamma_stdout_matches_golden_file():
     assert out == (GOLDEN / "gamma_np3_a3.out").read_text()
 
 
+def test_ppeval_stdout_matches_golden_file():
+    # a d=3 formula with two existentials and repeated variables, one of
+    # them in an equality atom; recorded from the per-token parser and the
+    # generator-keyed join
+    argv = ["ppeval", "--rels", str(DATA / "three.rel"), "--formula", str(DATA / "three.pp"), "--name", "chain"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "ppeval_three.out").read_text()
+
+
 def test_check_and_inv_stdout_match_golden_files():
     # OR's images rank at or above their rows, so its invariant search runs
     # in reversed rank order; recorded from the search in natural order.

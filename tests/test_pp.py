@@ -1,9 +1,12 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import polinv.pp as pp_module
 from polinv import (
+    Domain,
     EqualityAtom,
     ParseError,
     PPFormula,
@@ -30,6 +33,7 @@ from helpers import (
     THREE,
     empty_relation,
     full_relation,
+    _oracle_tokenize,
     naive_eval_pp,
     oracle_parse_pp,
     oracle_parse_pp_file,
@@ -112,11 +116,14 @@ def test_formula_file_error_names_path_line_and_column(tmp_path):
     assert str(err.value) == f"{formulas}:4:12: undeclared variable: w"
 
 
-# pieces for the fuzzer: whole tokens (reserved words included), a stray
-# ':' and '%', and whitespace that moves the line and column
-SOUP = ["def", "exists", "true", "x", "y", "z", "leq", "_a1", "(", ")", ",", ".", "&", "=", ":=",
-        ":", "%", " ", " ", "\n", "\t"]
-MUTANT_CHARS = "xyz_q1(),.&=:% \n\t"
+# pieces for the fuzzer: whole tokens (reserved words included); a stray
+# ':', '%' and non-ASCII letter, and a split ': ='; a digit at a token start
+# ('1', '9z') against one inside a name ('_a1', 'x9'); and whitespace, of
+# which only '\n' moves the line: '\r', '\x0b', '\x0c', '\xa0', '\x85' and
+# '\u2028' are whitespace to the token pattern that move only the column
+SOUP = ["def", "exists", "true", "x", "y", "z", "leq", "_a1", "x9", "1", "9z", "(", ")", ",", ".", "&", "=", ":=",
+        ":", ": =", "%", "\xe9", " ", " ", "\n", "\t", "\r", "\x0b", "\x0c", "\xa0", "\x85", "\u2028"]
+MUTANT_CHARS = "xyz_q1(),.&=:% \n\t\r\x0b\x0c\xa0\x85\u2028\xe9"
 
 
 def _outcome(parse, text):
@@ -168,6 +175,18 @@ def test_parse_pp_file_multiple():
     assert [phi.name for phi in formulas] == ["a", "b"]
 
 
+def test_formula_file_lines_are_those_of_each_def():
+    # the workspace files each formula at the line of its "def", counted
+    # along one scan; only '\n' moves the line, so '\r' and '\x0c' must not
+    rng = random.Random(151)
+    gaps = [" ", "\n", "\n\n", "\t", "\r", "\x0c", " \n "]
+    for _ in range(300):
+        formulas = [random_formula(rng, BOOL, ENV_BY_NAME).to_text() for _ in range(rng.randint(1, 5))]
+        text = "".join(rng.choice(gaps) * rng.randint(1, 2) + phi.replace(" ", rng.choice(gaps), 2) for phi in formulas)
+        lines = [line for line, _ in pp_module._Parser(text).formulas()]
+        assert lines == [tok.line for tok in _oracle_tokenize(text) if tok.text == "def"], text
+
+
 def test_formula_requires_free_variable():
     with pytest.raises(ValueError):
         PPFormula("f", (), (), ())
@@ -183,6 +202,59 @@ def test_to_text_round_trip():
     for _ in range(40):
         phi = random_formula(rng, BOOL, ENV_BY_NAME)
         assert parse_pp(phi.to_text()) == phi or not phi.atoms
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PPFormula("f", ("true",), (), ()), "reserved word 'true' cannot be used as a variable"),
+        (lambda: PPFormula("f", ("x", "y"), ("x y",), ()), "expected a variable, found 'x y'"),
+        (lambda: PPFormula("def", ("x",), (), ()), "reserved word 'def' cannot be used as a formula name"),
+        (lambda: PPFormula("1f", ("x",), (), ()), "expected a formula name, found '1f'"),
+        (lambda: RelationAtom("exists", ("x",)), "reserved word 'exists' cannot be used as a relation name"),
+        (lambda: RelationAtom("r", ("x", "\xe9")), "expected a variable, found '\xe9'"),
+        (lambda: RelationAtom("r", ("x\n",)), "expected a variable, found 'x\\n'"),
+        (lambda: EqualityAtom("x", ""), "expected a variable, found ''"),
+        (lambda: EqualityAtom("true", "x"), "reserved word 'true' cannot be used as a variable"),
+    ],
+)
+def test_constructors_refuse_names_the_grammar_cannot_spell(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+SPELLABLE = ["x", "y", "z", "_v1", "f1", "leq", "Def", "trueish", "EXISTS"]
+UNSPELLABLE = ["def", "exists", "true", "x y", "1x", "\xe9", "", "x\n", "x-y", "x:=y"]
+
+
+def test_every_formula_that_constructs_round_trips():
+    # names mostly spellable, sometimes not; whatever the constructors
+    # accept, to_text must spell and parse_pp read back
+    rng = random.Random(131)
+
+    def pick():
+        return rng.choice(UNSPELLABLE if rng.random() < 0.05 else SPELLABLE)
+
+    outcomes = Counter()
+    for _ in range(3000):
+        try:
+            free = [pick() for _ in range(rng.randint(1, 2))]
+            exist = [pick() for _ in range(rng.randint(0, 2))]
+            names = free + exist
+            atoms = [
+                RelationAtom(pick(), tuple(rng.choice(names) for _ in range(rng.randint(1, 3))))
+                if rng.random() < 0.7
+                else EqualityAtom(rng.choice(names), rng.choice(names))
+                for _ in range(rng.randint(0, 3))
+            ]
+            phi = PPFormula(pick(), free, exist, atoms)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["built"] += 1
+        canonical = phi if phi.atoms else PPFormula(phi.name, phi.free_vars, (), ())
+        assert parse_pp(phi.to_text()) == canonical, phi
+    assert min(outcomes["built"], outcomes["refused"]) >= 500, outcomes
 
 
 def test_to_text_degenerate_exists_without_atoms():
@@ -224,13 +296,13 @@ def test_eval_unconstrained_free_variable_ranges_over_domain():
 
 def test_eval_unknown_relation_name():
     phi = parse_pp("def f(x, y) := missing(x, y)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unbound relation name: missing$"):
         eval_pp(phi, ENV, BOOL)
 
 
 def test_eval_atom_arity_mismatch():
     phi = parse_pp("def f(x) := leq(x)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^relation leq has arity 2, atom supplies 1 variables$"):
         eval_pp(phi, ENV, BOOL)
 
 
@@ -251,21 +323,57 @@ def test_eval_refuses_two_environment_relations_of_one_name():
     assert eval_pp(phi, relation_set([low, renamed(high, ""), renamed(NEQ, "")]), BOOL) == renamed(low, "f")
 
 
-def test_eval_matches_naive_oracle():
+# shapes for the eval oracle: an atom sharing no variable with the atoms
+# before it, one of them or all of them; repeated variables, x = x; the
+# empty relation e; free variables that no atom constrains
+EVAL_SHAPES = [
+    "def f(x, y) := r0(x) & r0(y)",
+    "def f(x, z) := exists y . r1(x, y) & r2(y, z)",
+    "def f(x, y) := r1(x, y) & r2(y, x)",
+    "def f(x, y) := r1(x, y) & t(y, x, y) & x = y",
+    "def f(x) := r1(x, x)",
+    "def f(x) := exists y . t(y, x, y) & r0(y)",
+    "def f(x) := x = x",
+    "def f(x, y) := exists z . z = z & r1(x, x)",
+    "def f(x, y) := e(x, y)",
+    "def f(x, y) := r0(x) & e(x, y)",
+    "def f(x, y, z) := r0(y)",
+    "def f(x, y, z) := true",
+    "def f(x, y, z) := exists u, v . t(u, v, u) & r1(v, x)",
+]
+
+
+def test_eval_matches_naive_oracle(monkeypatch):
+    # every getter eval_pp builds is counted by its number of positions:
+    # none (a key of no shared variable), one, or many
+    widths = Counter()
+    getter = pp_module._getter
+
+    def counting(positions):
+        widths[min(len(positions), 2)] += 1
+        return getter(positions)
+
+    monkeypatch.setattr(pp_module, "_getter", counting)
     rng = random.Random(83)
-    for domain in (BOOL, THREE):
-        env = relation_set(
-            [
-                random_relation(rng, domain, 1, name="r0"),
-                random_relation(rng, domain, 2, name="r1"),
-                random_relation(rng, domain, 2, name="r2"),
-            ],
-            domain,
-        )
-        env_rels = {r.name: r for r in env}  # equal tuple sets collapse
-        for _ in range(30):
-            phi = random_formula(rng, domain, env_rels)
-            assert eval_pp(phi, env, domain) == naive_eval_pp(phi, env_rels, domain)
+    cases = 0
+    for d in (1, 2, 3):
+        domain = Domain(d)
+        # a plain list, since a RelationSet would merge equal relations
+        env = [
+            random_relation(rng, domain, 1, name="r0"),
+            random_relation(rng, domain, 2, name="r1"),
+            random_relation(rng, domain, 2, name="r2"),
+            random_relation(rng, domain, 3, name="t"),
+            Relation(domain, 2, (), name="e"),
+        ]
+        env_rels = {r.name: r for r in env}
+        formulas = [parse_pp(text) for text in EVAL_SHAPES]
+        formulas += [random_formula(rng, domain, env_rels) for _ in range(30)]
+        for phi in formulas:
+            assert eval_pp(phi, env, domain) == naive_eval_pp(phi, env_rels, domain), phi.to_text()
+            cases += 1
+    assert cases == 3 * (len(EVAL_SHAPES) + 30)
+    assert sorted(widths) == [0, 1, 2], widths
 
 
 def test_eval_invariant_under_atom_reordering():
