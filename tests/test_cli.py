@@ -429,10 +429,14 @@ def test_check_and_inv_stdout_match_golden_files():
     # OR's images rank at or above their rows, so its invariant search runs
     # in reversed rank order; recorded from the search in natural order.
     # 5100 = 4 + 14 + 122 + 4960 invariants over k = 1..4, the counts of
-    # AND mirrored by x -> 1 - x
+    # AND mirrored by x -> 1 - x.  {NOT, XOR} sits near the tie between the
+    # two orders; recorded from the search that scored the built image table
+    not_xor = ["--ops", str(DATA / "not.ops"), "--ops", str(DATA / "xor.ops")]
     cases = (
         (["check", "--ops", str(DATA / "or.ops"), "--arity", "2"], "check_or_a2.out"),
         (["inv", "--ops", str(DATA / "or.ops"), "--arity", "3"], "inv_or_a3.out"),
+        (["check", *not_xor, "--arity", "2"], "check_not_xor_a2.out"),
+        (["inv", *not_xor, "--arity", "3"], "inv_not_xor_a3.out"),
     )
     for argv, name in cases:
         code, out, err = run(argv)
