@@ -4,9 +4,9 @@ inv enumerates every relation of a given arity preserved by all given
 operations (depth-first search over tuple sets in rank order, pruned as
 soon as the set's image holds a tuple it can no longer gain, with the
 images of row pairs packed into one big int per rank, and run in natural
-or reversed rank order, whichever the image table says prunes sooner); pol
-enumerates every operation of a given arity preserving all given
-relations (depth-first table construction with forward pruning, its
+or reversed rank order, whichever the members' tables say prunes
+sooner); pol enumerates every operation of a given arity preserving all
+given relations (depth-first table construction with forward pruning, its
 constraints built from each relation's core as core._core computes it:
 repeated columns merged, cylinder coordinates dropped, full cores
 skipped), and the same backtracker, with some cells pinned and a
@@ -115,46 +115,27 @@ def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[di
     return root, lane, wide
 
 
-def _prunes_sooner_reversed(lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]) -> bool:
-    """Whether more images in the table rank above the lowest row rank of
-    their combination than below the highest.  An image below the highest
-    rank t, if missing, prunes a branch as soon as t is added; reversing
-    the ranks turns the images above the lowest rank into such images."""
-    size = len(lane)
-    full = (1 << size) - 1
-    fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
-    units = sum(fields)
-    under_top = sum(f * ((1 << t) - 1) for t, f in enumerate(fields))  # in field t, the ranks below t
+def _prefers_reversed(ops: OperationSet) -> bool:
+    """Whether the invariant search prunes sooner in reversed rank order.
+    An image ranked below the highest row of its combination prunes a
+    branch, if missing, as soon as that row is added; reversing the ranks
+    turns the images above the lowest row into such images.  The members'
+    tables stand in for the image table: each (argument set, image) pair
+    of a member's non-nullary cells is taken once, and counts below when
+    the image lies below the set's largest element, above when it lies
+    above its smallest.  A cell of one repeated element gives the image of
+    every row with itself (XOR(x, x) is the all-zero tuple for every row
+    x), so its pair counts d times.  Ties keep the natural order."""
+    d = ops.domain.size
     below = above = 0
-    for b in range(size):
-        under, over = (1 << b) - 1, full >> b + 1 << b + 1  # the ranks below b and above b
-        pairs = lane[b] >> b * size << b * size  # the fields t >= b: each pair once
-        below += (pairs & under_top).bit_count()
-        above += (pairs & units * over).bit_count()
-        for q, bits in wide[b].items():
-            below += (bits & under).bit_count()
-            above += (bits >> q[0] + 1).bit_count()
+    for f in ops:
+        if not f.arity:
+            continue
+        for args, v in set(zip(map(frozenset, ops.domain.tuples(f.arity)), f.table)):
+            weight = d if len(args) == 1 else 1
+            below += weight * (v < max(args))
+            above += weight * (v > min(args))
     return above > below
-
-
-def _mirrored(
-    root: int, lane: Sequence[int], wide: Sequence[dict[tuple[int, ...], int]]
-) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
-    """The image table of the members conjugated by a -> d-1-a, which maps
-    the tuple of rank r to the one of rank size-1-r: each set of images
-    is bit-reversed and filed under the reversed ranks.  Reversing all
-    size^2 bits of lane[b] reverses its fields and the bits within each,
-    which gives lane[size-1-b] of the mirror."""
-
-    def flip(x: int, width: int) -> int:
-        return int(f"{x:0{width}b}"[::-1], 2)
-
-    size = len(lane)
-    mirror: list[dict[tuple[int, ...], int]] = [{} for _ in range(size)]
-    for t, entries in enumerate(wide):
-        for q, bits in entries.items():
-            mirror[size - 1 - q[0]][tuple(size - 1 - u for u in (t, *q[:0:-1]))] = flip(bits, size)
-    return flip(root, size), [flip(x, size * size) for x in reversed(lane)], mirror
 
 
 def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]:
@@ -177,17 +158,19 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     acc, the OR of lane[b] over the ranks b on its path, so a child t
     gains field t of acc | lane[t] in O(1) big-int operations, plus
     wide[t] of each subset of two or more path ranks.  How soon a branch
-    is pruned depends on the order, so the table picks one: when
-    _prunes_sooner_reversed holds, the search runs on the table of the
-    members conjugated by a -> d-1-a (see _mirrored), and each rank found
-    sets the reversed bit of its mask.
+    is pruned depends on the order, so the members pick one before the
+    table is built: when _prefers_reversed holds, the table is that of the
+    members conjugated by a -> d-1-a, which maps the tuple of rank r to
+    the one of rank size-1-r and invariants to invariants, and each rank
+    found sets the reversed bit of its mask.
     """
     _check_inv_caps(ops, arity, limits)
-    size = ops.domain.size**arity
+    domain, d = ops.domain, ops.domain.size
+    size = d**arity
+    flip = _prefers_reversed(ops)
+    if flip:  # each member conjugated by a -> d-1-a
+        ops = OperationSet(domain, tuple(Operation(domain, f.arity, [d - 1 - v for v in f.table[::-1]]) for f in ops))
     root, lane, wide = _image_table(ops, arity)
-    flip = _prunes_sooner_reversed(lane, wide)
-    if flip:
-        root, lane, wide = _mirrored(root, lane, wide)
     subset_sizes = range(2, ops.max_arity())
     full = (1 << size) - 1
     below = [(1 << t) - 1 for t in range(size)]
@@ -238,9 +221,9 @@ def inv(
     A pruned depth-first search (see _invariant_masks) whose cost follows
     the number of invariants: each node reads the images of its new tuple
     with the earlier ones from one image table, row pairs in O(1) big-int
-    operations, in the rank order that prunes sooner.  The candidate cap
-    applies up front to the 2^(d^arity) tuple sets and to the row
-    combinations of the members.
+    operations, in the rank order the members' tables say prunes sooner.
+    The candidate cap applies up front to the 2^(d^arity) tuple sets and
+    to the row combinations of the members.
     """
     _check_count(arity, "arity", 0)
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))

@@ -31,9 +31,9 @@ from typing import Callable, Iterator, Sequence, Union
 from .core import Domain, Operation, OperationSet, Relation, RelationSet
 from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
-from .pp import PPFormula, _Parser
+from .pp import _NAME, PPFormula, _Parser
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_RE = re.compile(rf"{_NAME}\Z")
 _KINDS = {"op": "operation", "rel": "relation"}
 
 # kind ("operation", "relation" or "formula"), name, value, line

@@ -20,13 +20,12 @@ from polinv import (
     pol,
     preserves,
 )
+from polinv import galois
 from polinv.core import _core
 from polinv.galois import (
-    _image_table,
     _invariant_masks,
     _maximal_invariants,
-    _mirrored,
-    _prunes_sooner_reversed,
+    _prefers_reversed,
     _relations,
 )
 from polinv.limits import Limits
@@ -147,19 +146,14 @@ def test_inv_commutes_with_domain_permutations():
             cases += [(domain, gens, k) for k in ks]
     cases += [(BOOL, [f], k) for f in (AND, OR, MAJ) for k in (2, 3)]
 
-    def table(domain, gens, k):
-        return _image_table(opset(gens, domain), k)
-
     orders = Counter()  # (reversed order, with a ternary member)
     for domain, gens, k in cases:
-        natural = table(domain, gens, k)
-        flip = _prunes_sooner_reversed(*natural[1:])
+        flip = _prefers_reversed(opset(gens, domain))
         orders[flip, any(f.arity == 3 for f in gens)] += 1
-        # the table of the members conjugated by a -> d-1-a is the mirrored
-        # one; where the natural table picks the reversed order, it does not
-        mirrored = table(domain, [_conjugate(f, list(range(domain.size))[::-1]) for f in gens], k)
-        assert mirrored == _mirrored(*natural)
-        assert not (flip and _prunes_sooner_reversed(*mirrored[1:]))
+        # where the members pick the reversed order, their conjugates by
+        # a -> d-1-a do not
+        mirrored = opset([_conjugate(f, list(range(domain.size))[::-1]) for f in gens], domain)
+        assert not (flip and _prefers_reversed(mirrored))
         got = {r.tuples for r in inv(opset(gens, domain), k)}
         for sigma in permutations(range(domain.size)):
             moved = inv(opset([_conjugate(f, list(sigma)) for f in gens], domain), k)
@@ -167,6 +161,33 @@ def test_inv_commutes_with_domain_permutations():
                 tuple(sorted(tuple(sigma[a] for a in t) for t in r)) for r in got
             }, (gens, k, sigma)
     assert min(orders[flip, True] for flip in (False, True)) >= 10, orders
+
+
+def test_rank_order_on_the_roundtrip_sets_is_the_cheaper_one():
+    # The order picked for the nonempty subsets of {AND, OR, NOT, XOR}, the
+    # check --arity 2 sets of the roundtrip benchmark up to its seeded
+    # relabelling, with the nodes the search at max_k = 4 visits in
+    # natural / reversed order: the pick is never the costlier one, and a
+    # tie keeps natural
+    orders = {
+        ("AND",): False,  # 4960 / 12676
+        ("OR",): True,  # 12676 / 4960
+        ("NOT",): False,  # 1280 / 1280
+        ("XOR",): False,  # 155 / 433
+        ("AND", "OR"): False,  # 1301 / 1301
+        ("AND", "NOT"): False,  # 267 / 491
+        ("AND", "XOR"): False,  # 115 / 331
+        ("OR", "NOT"): True,  # 491 / 267
+        ("OR", "XOR"): False,  # 144 / 253
+        ("NOT", "XOR"): False,  # 78 / 310
+        ("AND", "OR", "NOT"): False,  # 177 / 177
+        ("AND", "OR", "XOR"): False,  # 115 / 229
+        ("AND", "NOT", "XOR"): False,  # 72 / 245
+        ("OR", "NOT", "XOR"): False,  # 74 / 169
+        ("AND", "OR", "NOT", "XOR"): False,  # 72 / 145
+    }
+    named = {"AND": AND, "OR": OR, "NOT": NOT, "XOR": XOR}
+    assert {names: _prefers_reversed(opset([named[g] for g in names])) for names in orders} == orders
 
 
 def test_galois_check_counts_every_arity_like_the_filtering_oracle():
@@ -216,6 +237,32 @@ def test_inv_candidate_cap():
     with pytest.raises(ResourceBoundError, match=r"^inv row combinations at arity 4 needs 16777216, more than max_candidates \(10000000\)$"):
         inv(opset([senary]), 4)
     assert len(inv(opset([senary]), 2)) >= 2  # 4^6 combinations pass
+
+
+def test_inv_caps_refuse_before_the_rank_order_is_chosen(monkeypatch):
+    # the caps run before any per-cell work: the rule that reads every cell
+    # of every member is never reached on a refused call
+    def walked(ops):
+        raise AssertionError("the rank-order rule ran before the caps")
+
+    monkeypatch.setattr(galois, "_prefers_reversed", walked)
+    senary = random_operation(random.Random(6), BOOL, 6)
+    refusals = [
+        (lambda: inv(opset([AND]), 5), "inv at arity 5 needs 4294967296, more than max_candidates (10000000)"),
+        (lambda: inv(opset([senary]), 4), "inv row combinations at arity 4 needs 16777216, more than max_candidates (10000000)"),
+        (
+            lambda: inv(opset([NOT]), 3, limits=Limits(max_materialize=7)),
+            "inv relation at arity 3 needs 8, more than max_materialize (7)",
+        ),
+        (
+            lambda: galois_check(opset([MAJ]), 1, max_k=2, limits=Limits(max_candidates=63)),
+            "inv row combinations at arity 2 needs 64, more than max_candidates (63)",
+        ),
+    ]
+    for call, refusal in refusals:
+        with pytest.raises(ResourceBoundError) as err:
+            call()
+        assert str(err.value) == refusal
 
 
 def test_pol_examples():
