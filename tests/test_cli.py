@@ -425,6 +425,16 @@ def test_ppeval_stdout_matches_golden_file():
     assert out == (GOLDEN / "ppeval_three.out").read_text()
 
 
+def test_ppdef_stdout_matches_golden_file():
+    # the 17 binary polymorphisms of a d=3 environment reach (0,0) and
+    # (2,2) from the rows of target, and no other tuple outside it, so each
+    # of the seven is decided by one pinned search; recorded from the
+    # recursive backtracker
+    code, out, err = run(["ppdef", "--rels", str(DATA / "ppdef3.rel"), "--target", "target"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "ppdef_three.out").read_text()
+
+
 def test_check_and_inv_stdout_match_golden_files():
     # OR's images rank at or above their rows, so its invariant search runs
     # in reversed rank order; recorded from the search in natural order.
