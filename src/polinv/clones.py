@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import Operation, OperationSet, Relation, _check_count, make_projection, row_images
+from .core import Operation, OperationSet, Relation, _check_count, _row_key, make_projection, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -112,8 +112,8 @@ def _closing(
     tuple new in the previous round: one _images call per first new
     position, with new rows there, older rows before it and any rows
     after it, and none for a position with no combination (every position
-    but the first while no row is older).  Rows are keyed as bytes while
-    d <= 256 (tuples beyond), so a member whose d^m cells fit a byte is
+    but the first while no row is older).  Rows are keyed by core._row_key,
+    as bytes while d <= 256, so a member whose d^m cells fit a byte is
     applied by bytes.translate and a wider one by row_images (see
     _images); only new images become tuples in current.  The round guard
     counts the combinations alone, |all|^m - |older|^m per member of
@@ -139,12 +139,6 @@ def _closing(
         known.update(fresh)
         current.update(map(tuple, fresh))
         yield len(current)
-
-
-def _row_key(d: int) -> type:
-    """How _closing keys a row over {0, ..., d-1}: bytes, one per
-    coordinate, while values fit in a byte, else the tuple itself."""
-    return bytes if d <= 256 else tuple
 
 
 def _images(table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence]) -> Iterator:

@@ -16,7 +16,7 @@ merged and cylinder coordinates dropped, which has the same
 polymorphisms.  preserves decides on the core and pol constrains by
 cores.  Here too is row_images, the kernel that applies an operation
 to rows coordinatewise: compose, preserves, and the constraint and pin
-cells of pol's search (galois._table_search, pp._reachable) call it.
+cells of pol's search (galois._constraints, pp._reachable) call it.
 The clone and invariant closures (clones._closing) call it only for a
 member whose table has more than 256 cells; a narrower one is applied
 on byte lanes by bytes.translate (clones._images).
@@ -388,6 +388,13 @@ def preserves(f: Operation, r: Relation) -> bool:
     return all(t in tset for t in row_images(f.table, f.domain.size, r.arity, [r.tuples] * f.arity))
 
 
+def _row_key(d: int) -> type:
+    """How a row over {0, ..., d-1} is keyed where its values are compared
+    or sliced in bulk: bytes, one per coordinate, while values fit in a
+    byte, else the tuple itself."""
+    return bytes if d <= 256 else tuple
+
+
 def _core(r: Relation) -> Relation:
     """r with each column equal to an earlier one merged into it, then
     each coordinate over which it is a full cylinder dropped: one whose
@@ -402,8 +409,8 @@ def _core(r: Relation) -> Relation:
     diagonal relation is such a one).  A cylinder coordinate holds each
     value |r| / d times, which one count per value checks first.  And c
     cylinder coordinates make |r| a multiple of d^c, so the scan stops
-    once one more could not.  Projections are taken on the tuples as
-    bytes where values fit in one, each a C-level slice.
+    once one more could not.  Projections are taken on the tuples keyed
+    by _row_key, as bytes where values fit in one, each a C-level slice.
     """
     d, n = r.domain.size, len(r)
     cols = list(dict.fromkeys(zip(*r.tuples)))  # each distinct column once, in order
@@ -417,7 +424,7 @@ def _core(r: Relation) -> Relation:
             if any(col.count(a) != share for a in range(d)):
                 continue
             if rows is None:  # the tuples over the distinct columns
-                rows = list(map(bytes if d <= 256 else tuple, zip(*cols)))
+                rows = list(map(_row_key(d), zip(*cols)))
             if len({t[:j] + t[j + 1 :] for t in rows}) * d == n:
                 dropped.add(j)
         cols = [c for j, c in enumerate(cols) if j not in dropped]

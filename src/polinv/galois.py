@@ -9,8 +9,8 @@ sooner); pol enumerates every operation of a given arity preserving all
 given relations (depth-first table construction with forward pruning, its
 constraints built from each relation's core as core._core computes it:
 repeated columns merged, cylinder coordinates dropped, full cores
-skipped), and the same backtracker, with some cells pinned and a
-first-solution stop, decides pp-definability.
+skipped), and the first table of the same search, with some cells
+pinned, decides pp-definability.
 galois_check checks that pol recovers a generated clone from its
 invariants up to arity max_k; it enumerates them once, at arity max_k,
 counts the lower arities as the cylinders among them, and hands pol only
@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, repeat
 from operator import lshift, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .clones import graph_relation
+from .clones import _clone_slice
 from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -229,65 +229,60 @@ def inv(
     return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
 
 
-def _table_search(
-    rels: RelationSet, arity: int, limits: Limits
-) -> Callable[[dict[int, int], bool], list[tuple[int, ...]]]:
-    """The backtracker behind pol and pp-definability.  Applies pol's caps
-    and builds the constraints of rels at the given arity once, and
-    returns search(pins, first): every table preserving rels whose cell c
-    holds pins[c] for each pinned c, ascending, or just the first one when
-    first is set.
+_Check = tuple[set, tuple[int, ...]]  # a tuple set, and the cells whose values must form one of its tuples
 
-    The constraints come from the distinct cores of rels (see core._core),
-    which have the same polymorphisms; a full core constrains nothing and
-    is skipped, and the empty core leaves no row combination above arity
-    0, where it admits no constant.
-    Depth-first assignment of table cells in lexicographic order: a
-    partial table is rejected as soon as some row combination whose
-    output cells are all assigned lands outside its relation.  Each
-    combination is checked once, at the node assigning its highest cell.
-    A pinned cell's only value choice is its pin, so pins prune without
-    any per-node test.
-    """
+
+def _constraints(rels: RelationSet, arity: int, limits: Limits) -> list[list[_Check]]:
+    """pol's caps at the given arity, in the order they refuse, then the
+    constraints of rels on a table's d^arity cells: checks[c] pairs each
+    row combination whose highest cell is c, as the cells it reads, with
+    the tuple set its image must land in, so it is checked once, when its
+    cells are all assigned.  They come from the distinct cores of rels
+    (see core._core), which have the same polymorphisms; a full core
+    constrains nothing and is skipped, and the empty core leaves no row
+    combination above arity 0, where it admits no constant."""
     d = rels.domain.size
     cells = d**arity
     limits.check("max_materialize", cells, f"pol table at arity {arity}")
     limits.check("max_candidates", d**cells, f"pol at arity {arity}")
     cores = dict.fromkeys(r for r in map(_core, rels) if not r.is_full)  # each once, in order
     limits.check("max_candidates", sum(len(r) ** arity for r in cores), f"pol constraints at arity {arity}")
-    # checks[c] pairs each row combination whose highest output cell is c,
-    # as the cells it reads, with the tuple set its image must land in
-    checks: list[list[tuple[set[tuple[int, ...]], tuple[int, ...]]]] = [[] for _ in range(cells)]
+    checks: list[list[_Check]] = [[] for _ in range(cells)]
     for r in cores:
         tset = set(r.tuples)
         for vec in row_images(range(cells), d, r.arity, [r.tuples] * arity):
             checks[max(vec, default=0)].append((tset, vec))
+    return checks
 
-    def search(pins: dict[int, int], first: bool) -> list[tuple[int, ...]]:
-        choices = [(pins[c],) if c in pins else range(d) for c in range(cells)]
-        table = [0] * cells
-        get = table.__getitem__
-        found: list[tuple[int, ...]] = []
 
-        def extend(c: int) -> bool:
-            for v in choices[c]:
-                table[c] = v
-                for tset, vec in checks[c]:
-                    if tuple(map(get, vec)) not in tset:
-                        break
-                else:
-                    if c + 1 == cells:
-                        found.append(tuple(table))
-                        if first:
-                            return True
-                    elif extend(c + 1):
-                        return True
-            return False
-
-        extend(0)
-        return found
-
-    return search
+def _tables(checks: Sequence[Sequence[_Check]], choices: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Every table whose cell c holds a value from choices[c] and that
+    passes checks (see _constraints), ascending when each choices[c] is.
+    Depth-first, as one cell index over an iterator of choices per cell:
+    cell c takes its next value that passes checks[c] and the walk moves
+    on to c + 1, or back to c - 1 once none is left.  A cell of one
+    choice is pinned, so pins prune without any per-node test."""
+    cells = len(choices)
+    table = [0] * cells
+    get = table.__getitem__
+    values = list(map(iter, choices))
+    c = 0
+    while c >= 0:
+        for v in values[c]:
+            table[c] = v
+            for tset, vec in checks[c]:
+                if tuple(map(get, vec)) not in tset:
+                    break
+            else:
+                break  # v passes checks[c]
+        else:  # cell c has no value left
+            c -= 1
+            continue
+        if c + 1 == cells:
+            yield tuple(table)
+        else:
+            c += 1
+            values[c] = iter(choices[c])
 
 
 def pol(
@@ -300,13 +295,13 @@ def pol(
     tables ascending; an empty rels set yields every table.  At arity 0
     these are the constants c with (c, ..., c) in every member.
 
-    Runs the shared table backtracker (see _table_search) with no pins and
-    no stop; pp_closure_of and pp_witness run it pinned, one search per
-    candidate tuple.
+    Lists every table _tables yields under the constraints of rels (see
+    _constraints); pp._reachable takes the first one, some cells pinned.
     """
     _check_count(arity, "arity", 0)
     domain = rels.domain
-    tables = _table_search(rels, arity, limits)({}, False)
+    checks = _constraints(rels, arity, limits)
+    tables = _tables(checks, [range(domain.size)] * len(checks))
     return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
 
 
@@ -370,7 +365,7 @@ def galois_check(
 ) -> GaloisReport:
     """Build the n-ary members of the clone the generators generate (only
     arity n is closed, whatever the generators' arities; see
-    graph_relation), collect every relation of arity 1..max_k the
+    clones._clone_slice), collect every relation of arity 1..max_k the
     generators preserve, and recover the arity-n polymorphisms of that
     relation set.  Passes when recovery returns exactly those members.
     max_k defaults to d^n, which always suffices: the relation whose tuples
@@ -389,8 +384,7 @@ def galois_check(
     if max_k is None:
         max_k = domain.size**arity
     _check_count(max_k, "max_k", 1)
-    gamma = graph_relation(generators, arity, limits=limits)
-    clone_n = OperationSet(domain, tuple(Operation(domain, arity, table) for table in gamma))
+    clone_n = OperationSet(domain, tuple(Operation(domain, arity, t) for t in _clone_slice(generators, arity, limits)))
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.
     # Each k-ary invariant r gives the invariant r x A^(max_k - k), which

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .core import Domain, Operation, Relation, RelationSet, row_images
 from .errors import ParseError
-from .galois import _table_search
+from .galois import _constraints, _tables
 from .limits import DEFAULT_LIMITS, Limits
 
 _KEYWORDS = frozenset({"def", "exists", "true"})
@@ -340,15 +340,16 @@ def _reachable(
     """Each tuple x outside r that some len(r)-ary polymorphism of rels
     maps r's columns to, with the first such table found.
 
-    One pinned, first-solution run of pol's backtracker per x: the cells
-    indexed by r's columns are pinned to the entries of x (for an empty r
-    the one nullary cell is pinned, so x ranges over the constant tuples).
+    The constraints of rels are built once (see galois._constraints), and
+    each x takes the first table galois._tables yields with the cells
+    indexed by r's columns pinned to the entries of x (for an empty r the
+    one nullary cell is pinned, so x ranges over the constant tuples).
     """
     if r.domain != rels.domain:
         raise ValueError("relation and environment over different domains")
     d = r.domain.size
     t = len(r)
-    search = _table_search(rels, t, limits)
+    checks = _constraints(rels, t, limits)
     (cells,) = row_images(range(d**t), d, r.arity, [(row,) for row in r.tuples])
     # x is fixed by its values on the distinct cells, so equal columns
     # take one value and no x with conflicting pins is ever tried
@@ -358,7 +359,9 @@ def _reachable(
         pins = dict(zip(pinned, values))
         x = tuple(pins[c] for c in cells)
         if x not in members:
-            for table in search(pins, True):
+            choices = [(pins[c],) if c in pins else range(d) for c in range(len(checks))]
+            table = next(_tables(checks, choices), None)
+            if table is not None:
                 yield x, table
 
 
@@ -368,11 +371,11 @@ def pp_closure_of(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LI
 
     The t-ary polymorphisms (t = len(r)) applied coordinatewise to r's t
     rows yield exactly this superset, so a tuple x outside r belongs to it
-    iff some polymorphism maps r's columns to x.  Each x is decided by one
-    early-exit search of pol's backtracker with r's column cells pinned to
-    x, rather than by listing all of pol(rels, t).  An empty r uses the
-    arity-0 polymorphisms, whose constant tuples are forced into any
-    invariant superset.
+    iff some polymorphism maps r's columns to x.  Each x is decided by the
+    first table of pol's search with r's column cells pinned to x, rather
+    than by listing all of pol(rels, t).  An empty r uses the arity-0
+    polymorphisms, whose constant tuples are forced into any invariant
+    superset.
     """
     out = set(r.tuples)
     out.update(x for x, _ in _reachable(r, rels, limits))

@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -23,12 +23,14 @@ from polinv import (
 from polinv import galois
 from polinv.core import _core
 from polinv.galois import (
+    _constraints,
     _invariant_masks,
     _maximal_invariants,
     _prefers_reversed,
     _relations,
+    _tables,
 )
-from polinv.limits import Limits
+from polinv.limits import DEFAULT_LIMITS, Limits
 
 from helpers import (
     AND,
@@ -302,6 +304,36 @@ def test_pol_matches_filtering_oracle():
         got = {f.table for f in pol(relation_set(rels, domain), arity)}
         want = {f.table for f in oracle_pol(rels, arity, domain)}
         assert got == want
+
+
+def test_tables_match_a_filter_of_every_choice():
+    # the generator against product(*choices) filtered by the same checks,
+    # in exact order: every cell free or pinned to one value, d=2 at
+    # arities 0-2 and d=3 at arities 0-1
+    rng = random.Random(113)
+    pinned_without_table = 0
+    for domain, arities in ((BOOL, (0, 1, 2)), (THREE, (0, 1))):
+        envs = [[], [empty_relation(domain, 2)], [Relation(domain, 2, ((0, 1), (1, 0)))]]
+        for _ in range(5):
+            envs.append([random_relation(rng, domain, rng.randint(1, 3), allow_empty=False) for _ in range(rng.randint(1, 2))])
+        free = range(domain.size)
+        for rels in envs:
+            for arity in arities:
+                checks = _constraints(relation_set(rels, domain), arity, DEFAULT_LIMITS)
+                options = [free] + [(v,) for v in domain.elements()]
+                for choices in product(options, repeat=domain.size**arity):
+                    want = [
+                        t for t in product(*choices)
+                        if all(tuple(t[c] for c in vec) in tset for row in checks for tset, vec in row)
+                    ]
+                    assert list(_tables(checks, choices)) == want
+                    pinned_without_table += not want and free not in choices
+    assert pinned_without_table
+    # NEQ's unary polymorphisms are the two permutations, so no table has
+    # two equal cells
+    checks = _constraints(relation_set([NEQ]), 1, DEFAULT_LIMITS)
+    assert list(_tables(checks, [range(2), range(2)])) == [(0, 1), (1, 0)]
+    assert list(_tables(checks, [(0,), (0,)])) == []
 
 
 def test_maximal_invariants_have_the_same_polymorphisms():

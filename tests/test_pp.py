@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -500,6 +501,32 @@ def test_pp_closure_and_witness_match_enumerate_all_oracle():
             assert witness.arity == len(r)
             assert all(preserves(witness, s) for s in env)
             assert not preserves(witness, r)
+
+
+def test_searches_leave_nothing_for_the_cyclic_collector():
+    # each table search is freed by reference counting as soon as it is
+    # done; one caught in a reference cycle would hold its constraint lists
+    # until the cyclic collector ran
+    succ = Relation(THREE, 2, ((0, 1), (1, 2), (2, 0)))
+    pair = Relation(THREE, 2, ((0, 1), (2, 0)))
+    three_env = relation_set([succ], THREE)
+    calls = [
+        lambda: pol(relation_set([LEQ]), 2),
+        lambda: pol(three_env, 1),
+        lambda: pp_witness(NEQ, relation_set([LEQ])),
+        lambda: pp_witness(pair, three_env),
+        lambda: pp_closure_of(NEQ, relation_set([LEQ])),
+        lambda: pp_closure_of(pair, three_env),
+        lambda: is_pp_definable(EQ, relation_set([LEQ])),
+        lambda: is_pp_definable(pair, three_env),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        left = [(call(), gc.collect())[1] for call in calls]
+    finally:
+        gc.enable()
+    assert left == [0] * len(calls)
 
 
 def test_definability_refuses_five_tuples_on_two_elements():
