@@ -18,11 +18,9 @@ from .core import (
     Domain,
     Operation,
     OperationSet,
-    Partition,
     Relation,
     RelationSet,
     compose,
-    kernel_partition,
     make_projection,
     preserves,
 )
@@ -30,12 +28,14 @@ from .errors import ParseError, PolinvError, ResourceBoundError
 from .galois import GaloisReport, galois_check, inv, pol
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
+    Partition,
     PartitionIdeal,
     all_partitions,
     check_finitary_preservation,
     diagonal_relation,
     format_partition,
     ideal_downset,
+    kernel_partition,
     parse_partition,
     partition_lattice,
 )

@@ -87,7 +87,7 @@ def clone_closure(
     """
     _check_bound(generators, max_arity)
     domain = generators.domain
-    limits.check("max_materialize", domain.size**max_arity, f"clone closure table at arity {max_arity}")
+    limits.check_power("max_materialize", domain.size, max_arity, f"clone closure table at arity {max_arity}")
     projections = [make_projection(domain, n, i) for n in range(1, max_arity + 1) for i in range(n)]
     members: dict[tuple[int, tuple[int, ...]], Operation] = {}
     for f in chain(projections, generators):
@@ -211,8 +211,8 @@ def _clone_slice(ops: OperationSet, arity: int, limits: Limits) -> set[tuple[int
     the nullary members generate.  Refuses tables of more than
     max_materialize cells and more than max_closure members."""
     domain = ops.domain
+    limits.check_power("max_materialize", domain.size, arity, f"clone slice table at arity {arity}")
     width = domain.size**arity
-    limits.check("max_materialize", width, f"clone slice table at arity {arity}")
     members = {make_projection(domain, arity, i).table for i in range(arity)}
     for size in _closing(ops, members, width, limits, f"clone slice round at arity {arity}"):
         limits.check("max_closure", size, f"clone slice at arity {arity}")

@@ -6,8 +6,7 @@ Conventions used everywhere in the package:
 * an n-ary operation is stored as its full value table of length d^n,
   inputs enumerated in lexicographic order with the FIRST coordinate most
   significant;
-* a relation is a canonically sorted, deduplicated tuple set;
-* a partition of {0, ..., k-1} stores blocks sorted by minimum element.
+* a relation is a canonically sorted, deduplicated tuple set.
 
 All values are immutable after construction.  The member sets
 OperationSet and RelationSet live here too, next to their members, and
@@ -28,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import add, attrgetter, getitem, mul
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 def _check_count(value: object, what: str, least: int) -> None:
@@ -209,98 +208,6 @@ class RelationSet(_MemberSet):
     _field, _kind, _key = "rels", "relation", attrgetter("arity", "tuples")
 
 
-def _groups(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
-    """The positions of equal labels, grouped, in order of first occurrence."""
-    groups: dict[Hashable, list[int]] = {}
-    for pos, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(pos)
-    return tuple(tuple(g) for g in groups.values())
-
-
-def _common_refinement(index_size: int, parts: Iterable["Partition"]) -> "Partition":
-    """The meet of the partitions (the one-block partition if there are
-    none), in one grouping pass over their block labels."""
-    labels = [p.block_of() for p in parts]
-    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of the index set {0, ..., index_size-1}.
-
-    Canonical form: each block ascending, blocks ordered by minimum
-    element.  Refinement is the lattice order: p.refines(q) means every
-    block of p sits inside a block of q, so the bottom element is the
-    all-singletons partition and the top is the one-block partition.
-    """
-
-    index_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        _check_count(self.index_size, "index_size", 1)
-        canon = sorted(tuple(sorted(b)) for b in self.blocks)
-        seen: set[int] = set()
-        for b in canon:
-            if not b:
-                raise ValueError("empty block in partition")
-            for x in b:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.index_size:
-                    raise ValueError(f"block element {x!r} outside index set of size {self.index_size}")
-                if x in seen:
-                    raise ValueError(f"index {x} appears in two blocks")
-                seen.add(x)
-        if len(seen) != self.index_size:
-            raise ValueError("blocks do not cover the index set")
-        object.__setattr__(self, "blocks", tuple(canon))
-
-    @classmethod
-    def bottom(cls, index_size: int) -> "Partition":
-        return cls(index_size, tuple((i,) for i in range(index_size)))
-
-    @classmethod
-    def top(cls, index_size: int) -> "Partition":
-        return cls(index_size, (tuple(range(index_size)),))
-
-    def block_of(self) -> dict[int, int]:
-        """Map each index to the position of its block in canonical order."""
-        out: dict[int, int] = {}
-        for pos, b in enumerate(self.blocks):
-            for x in b:
-                out[x] = pos
-        return out
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff self is finer than or equal to other."""
-        if self.index_size != other.index_size:
-            raise ValueError("partitions over different index sets")
-        where = other.block_of()
-        return all(len({where[x] for x in b}) == 1 for b in self.blocks)
-
-    def join(self, other: "Partition") -> "Partition":
-        """Least partition coarser than both (transitive closure of the union)."""
-        if self.index_size != other.index_size:
-            raise ValueError("partitions over different index sets")
-        parent = list(range(self.index_size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b in self.blocks + other.blocks:
-            for x in b[1:]:
-                parent[find(b[0])] = find(x)
-        return Partition(self.index_size, _groups(find(i) for i in range(self.index_size)))
-
-    def meet(self, other: "Partition") -> "Partition":
-        """Greatest partition finer than both: their common refinement."""
-        if self.index_size != other.index_size:
-            raise ValueError("partitions over different index sets")
-        return _common_refinement(self.index_size, (self, other))
-
-
 def make_projection(domain: Domain, arity: int, index: int, name: str | None = None) -> Operation:
     """The arity-ary projection onto the given coordinate."""
     _check_count(arity, "projection arity", 1)
@@ -434,9 +341,3 @@ def _core(r: Relation) -> Relation:
         return Relation(r.domain, 0, ((),) if n else ())
     return Relation(r.domain, len(cols), tuple(zip(*cols)))
 
-
-def kernel_partition(t: Sequence[int]) -> Partition:
-    """Partition of positions of t grouping equal values."""
-    if len(t) == 0:
-        raise ValueError("kernel of the empty tuple is undefined")
-    return Partition(len(t), _groups(t))

@@ -35,9 +35,9 @@ def _check_inv_caps(ops: OperationSet, arity: int, limits: Limits) -> None:
     """inv's up-front caps at one arity, in the order they refuse: the
     d^arity tuples of a relation, the 2^(d^arity) tuple sets and the row
     combinations the image table applies."""
+    limits.check_power("max_materialize", ops.domain.size, arity, f"inv relation at arity {arity}")
     size = ops.domain.size**arity
-    limits.check("max_materialize", size, f"inv relation at arity {arity}")
-    limits.check("max_candidates", 2**size, f"inv at arity {arity}")
+    limits.check_power("max_candidates", 2, size, f"inv at arity {arity}")
     limits.check("max_candidates", sum(size**f.arity for f in ops), f"inv row combinations at arity {arity}")
 
 
@@ -197,6 +197,7 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
             visit(mask | 1 << t, new, grown, t, out | out_bit[t], path + (t,))
 
     visit(0, root, 0, -1, 0, ())
+    del visit  # visit reaches itself through its cell: clearing it frees found and the table now, not at a collection
     return found
 
 
@@ -242,9 +243,9 @@ def _constraints(rels: RelationSet, arity: int, limits: Limits) -> list[list[_Ch
     constrains nothing and is skipped, and the empty core leaves no row
     combination above arity 0, where it admits no constant."""
     d = rels.domain.size
+    limits.check_power("max_materialize", d, arity, f"pol table at arity {arity}")
     cells = d**arity
-    limits.check("max_materialize", cells, f"pol table at arity {arity}")
-    limits.check("max_candidates", d**cells, f"pol at arity {arity}")
+    limits.check_power("max_candidates", d, cells, f"pol at arity {arity}")
     cores = dict.fromkeys(r for r in map(_core, rels) if not r.is_full)  # each once, in order
     limits.check("max_candidates", sum(len(r) ** arity for r in cores), f"pol constraints at arity {arity}")
     checks: list[list[_Check]] = [[] for _ in range(cells)]

@@ -1,13 +1,14 @@
 """Resource caps for enumerations and closures.
 
-Every layer checks its caps through Limits.check, the one place that
-raises ResourceBoundError (exit code 3 in the CLI), in one shape:
-"{what} needs {count}, more than {name} ({cap})", naming the layer and
-the work it asked for, then the field that refused it.  A data-file
-header over max_materialize is refused in the same words, as a
-ParseError at its line (exit 2).  GALOIS_MAX_CANDIDATES in the
-environment overrides the candidate cap for a CLI invocation; library
-callers pass a Limits value instead.
+Every layer checks its caps through Limits.check, or check_power for a
+count sized as a power, the only places that raise ResourceBoundError
+(exit code 3 in the CLI), in one shape: "{what} needs {count}, more
+than {name} ({cap})", naming the layer and the work it asked for, then
+the field that refused it; a power of 2^64 or more is shown as one,
+such as 2^16384.  A data-file header over max_materialize is refused
+in the same words, as a ParseError at its line (exit 2).
+GALOIS_MAX_CANDIDATES in the environment overrides the candidate cap
+for a CLI invocation; library callers pass a Limits value instead.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ class Limits:
         cap = getattr(self, name)
         if count > cap:
             raise ResourceBoundError(f"{what} needs {count}, more than {name} ({cap})")
+
+    def check_power(self, name: str, base: int, exponent: int, what: str) -> None:
+        """Refuse base^exponent when it exceeds the cap held in the field
+        called name.  An exponent over 64 is cut at b, the larger of 64 and
+        the cap's bit length: as 2^b > cap, the cut power passes the cap
+        exactly when the whole one does.  A refused power of 2^64 or more
+        is shown as base^exponent, as str() refuses ints of over 4,300 digits."""
+        cap = getattr(self, name)
+        count = base ** (exponent if exponent <= 64 else min(exponent, max(64, cap.bit_length())))
+        if count > cap:
+            shown = count if count < 1 << 64 else f"{base}^{exponent}"
+            raise ResourceBoundError(f"{what} needs {shown}, more than {name} ({cap})")
 
 
 DEFAULT_LIMITS = Limits()

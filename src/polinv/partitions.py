@@ -1,14 +1,16 @@
 """Partition lattices, their ideals, and generalized diagonal relations.
 
-A tuple's kernel partition groups positions carrying equal values; the
-diagonal relation of an ideal collects every tuple whose kernel lies in
-the ideal.  Ideals here live in the lattice ordered by reverse
-refinement (the one-block partition at the bottom): they are closed
-under coarsening and under pairwise common refinement.  That is the
-orientation that makes every diagonal relation invariant under every
-finite-arity operation: applying an operation coordinatewise can only
-merge value classes, so the image kernel coarsens the common refinement
-of the row kernels and stays inside the ideal.
+The lattice is defined here: Partition, ordered by refinement, with
+join and meet.  A tuple's kernel partition groups positions carrying
+equal values; the diagonal relation of an ideal collects every tuple
+whose kernel lies in the ideal.  Ideals here live in the lattice
+ordered by reverse refinement (the one-block partition at the bottom):
+they are closed under coarsening and under pairwise common refinement.
+That is the orientation that makes every diagonal relation invariant
+under every finite-arity operation: applying an operation
+coordinatewise can only merge value classes, so the image kernel
+coarsens the common refinement of the row kernels and stays inside
+the ideal.
 
 Every ideal is principal: it is the set of coarsenings of its finest
 member π, the common refinement of all its members.  So everything is
@@ -23,29 +25,129 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
-from .core import Domain, Operation, Partition, Relation, _check_count, _common_refinement, _groups, preserves
+from .core import Domain, Operation, Relation, _check_count, preserves
 from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
 
 
+def _groups(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
+    """The positions of equal labels, grouped, in order of first occurrence."""
+    groups: dict[Hashable, list[int]] = {}
+    for pos, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(pos)
+    return tuple(tuple(g) for g in groups.values())
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A partition of the index set {0, ..., index_size-1}.
+
+    Canonical form: each block ascending, blocks ordered by minimum
+    element.  Refinement is the lattice order: p.refines(q) means every
+    block of p sits inside a block of q, so the bottom element is the
+    all-singletons partition and the top is the one-block partition.
+    """
+
+    index_size: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_count(self.index_size, "index_size", 1)
+        canon = sorted(tuple(sorted(b)) for b in self.blocks)
+        seen: set[int] = set()
+        for b in canon:
+            if not b:
+                raise ValueError("empty block in partition")
+            for x in b:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.index_size:
+                    raise ValueError(f"block element {x!r} outside index set of size {self.index_size}")
+                if x in seen:
+                    raise ValueError(f"index {x} appears in two blocks")
+                seen.add(x)
+        if len(seen) != self.index_size:
+            raise ValueError("blocks do not cover the index set")
+        object.__setattr__(self, "blocks", tuple(canon))
+
+    @classmethod
+    def bottom(cls, index_size: int) -> "Partition":
+        return cls(index_size, tuple((i,) for i in range(index_size)))
+
+    @classmethod
+    def top(cls, index_size: int) -> "Partition":
+        return cls(index_size, (tuple(range(index_size)),))
+
+    def block_of(self) -> list[int]:
+        """The position of each index's block in canonical order, indexed by index."""
+        out = [0] * self.index_size
+        for pos, b in enumerate(self.blocks):
+            for x in b:
+                out[x] = pos
+        return out
+
+    def refines(self, other: "Partition") -> bool:
+        """True iff self is finer than or equal to other."""
+        if self.index_size != other.index_size:
+            raise ValueError("partitions over different index sets")
+        where = other.block_of()
+        return all(len({where[x] for x in b}) == 1 for b in self.blocks)
+
+    def join(self, other: "Partition") -> "Partition":
+        """Least partition coarser than both (transitive closure of the union)."""
+        if self.index_size != other.index_size:
+            raise ValueError("partitions over different index sets")
+        parent = list(range(self.index_size))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for b in self.blocks + other.blocks:
+            for x in b[1:]:
+                parent[find(b[0])] = find(x)
+        return Partition(self.index_size, _groups(find(i) for i in range(self.index_size)))
+
+    def meet(self, other: "Partition") -> "Partition":
+        """Greatest partition finer than both: their common refinement."""
+        if self.index_size != other.index_size:
+            raise ValueError("partitions over different index sets")
+        return _common_refinement(self.index_size, (self, other))
+
+
+def _common_refinement(index_size: int, parts: Iterable[Partition]) -> Partition:
+    """The meet of the partitions (the one-block partition if there are
+    none), in one grouping pass over their block labels."""
+    labels = [p.block_of() for p in parts]
+    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
+
+
+def kernel_partition(t: Sequence[int]) -> Partition:
+    """Partition of positions of t grouping equal values."""
+    if len(t) == 0:
+        raise ValueError("kernel of the empty tuple is undefined")
+    return Partition(len(t), _groups(t))
+
+
 def _growth_strings(size: int) -> Iterator[list[int]]:
-    """Every restricted-growth label string of the given length: position
-    0 gets label 0 and each later position a label at most one past the
-    maximum so far.  Each string labels the blocks of one partition of
-    {0, ..., size-1}; the one list is reused between yields."""
-    labels = [0] * size
-
-    def rec(i: int, mx: int) -> Iterator[list[int]]:
-        if i == size:
-            yield labels
+    """Every restricted-growth label string of the given length, in
+    lexicographic order: position 0 gets label 0 and each later position
+    a label at most one past the maximum so far.  Each string labels the
+    blocks of one partition of {0, ..., size-1}; the one list is reused
+    between yields."""
+    labels, tops = [0] * size, [0] * size  # tops[i]: the largest label before position i
+    while True:  # an odometer: the rightmost label below its bound steps up, later ones drop to 0
+        yield labels
+        i = size - 1
+        while labels[i] > tops[i]:  # stops at 0, where both are 0
+            i -= 1
+        if not i:
             return
-        for v in range(mx + 2):
-            labels[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    return rec(1, 0)
+        labels[i] += 1
+        labels[i + 1 :] = [0] * (size - 1 - i)
+        tops[i + 1 :] = [max(tops[i], labels[i])] * (size - 1 - i)
 
 
 def all_partitions(index_size: int) -> Iterator[Partition]:
@@ -152,9 +254,8 @@ def diagonal_relation(
     ideal: the tuples constant on the blocks of its finest member, one
     for each assignment of domain elements to those blocks."""
     kappa = ideal.index_size
-    limits.check("max_materialize", domain.size**kappa, "diagonal relation")
-    where = ideal.finest.block_of()
-    block = [where[i] for i in range(kappa)]
+    limits.check_power("max_materialize", domain.size, kappa, "diagonal relation")
+    block = ideal.finest.block_of()
     values = product(range(domain.size), repeat=len(ideal.finest.blocks))
     return Relation(domain, kappa, [tuple(v[b] for b in block) for v in values])
 

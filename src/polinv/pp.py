@@ -35,7 +35,7 @@ from .limits import DEFAULT_LIMITS, Limits
 
 _KEYWORDS = frozenset({"def", "exists", "true"})
 _NAME = "[A-Za-z_][A-Za-z0-9_]*"
-_SPELLABLE = re.compile(rf"(?!(?:def|exists|true)\Z){_NAME}\Z").match
+_SPELLABLE = re.compile(rf"(?!(?:{'|'.join(_KEYWORDS)})\Z){_NAME}\Z").match
 
 
 def _check_names(names: tuple[str, ...], what: str) -> None:

@@ -312,6 +312,9 @@ def test_negative_arity_is_exit_2():
 def test_resource_bounds_are_exit_3():
     refusals = [
         (["inv", "--ops", AND_OPS, "--arity", "5"], "inv at arity 5 needs 4294967296, more than max_candidates (10000000)"),
+        # 2^8192 has 2,467 digits and 2^16384 more than str() converts
+        (["inv", "--ops", AND_OPS, "--arity", "13"], "inv at arity 13 needs 2^8192, more than max_candidates (10000000)"),
+        (["inv", "--ops", AND_OPS, "--arity", "14"], "inv at arity 14 needs 2^16384, more than max_candidates (10000000)"),
         (["pol", "--rels", LEQ_REL, "--arity", "4"], "pol --arity needs 4, more than max_enum_arity (3)"),
         (
             ["diag", "--kappa", "3", "--generators", "0,1|2", "--domain", "9"],

@@ -12,6 +12,10 @@ from pathlib import Path
 import pytest
 
 from polinv import (
+    Domain,
+    Partition,
+    PartitionIdeal,
+    RelationSet,
     ResourceBoundError,
     clone_closure,
     clone_contains,
@@ -137,3 +141,56 @@ def test_galois_check_refuses_at_the_lowest_arity_over_a_cap():
         with pytest.raises(ResourceBoundError) as err:
             galois_check(opset(ops), 1, max_k=max_k, limits=limits)
         assert str(err.value) == refusal
+
+
+def test_refused_powers_of_two_to_the_64_or_more_are_shown_as_powers():
+    # str() refuses an int of more than 4,300 digits, so a count sized as a
+    # power is shown as base^exponent from 2^64 on; below that, in digits
+    huge = [
+        (lambda: inv(opset([AND]), 13), "inv at arity 13 needs 2^8192, more than max_candidates (10000000)"),
+        (lambda: inv(opset([AND]), 14), "inv at arity 14 needs 2^16384, more than max_candidates (10000000)"),
+        (lambda: inv(opset([AND]), 6), "inv at arity 6 needs 2^64, more than max_candidates (10000000)"),
+        (
+            lambda: pol(RelationSet(Domain(4), ()), 7),
+            "pol at arity 7 needs 4^16384, more than max_candidates (10000000)",
+        ),
+        (lambda: pol(relation_set([LEQ]), 5), "pol at arity 5 needs 4294967296, more than max_candidates (10000000)"),
+        (
+            lambda: pol(relation_set([LEQ]), 20000),
+            "pol table at arity 20000 needs 2^20000, more than max_materialize (65536)",
+        ),
+        (
+            lambda: inv(opset([AND]), 20000),
+            "inv relation at arity 20000 needs 2^20000, more than max_materialize (65536)",
+        ),
+        (
+            lambda: clone_closure(opset([AND]), 20000),
+            "clone closure table at arity 20000 needs 2^20000, more than max_materialize (65536)",
+        ),
+        (
+            lambda: graph_relation(opset([AND]), 20000),
+            "clone slice table at arity 20000 needs 2^20000, more than max_materialize (65536)",
+        ),
+        (
+            lambda: diagonal_relation(PartitionIdeal(20000, (Partition.top(20000),)), BOOL),
+            "diagonal relation needs 2^20000, more than max_materialize (65536)",
+        ),
+    ]
+    for call, message in huge:
+        with pytest.raises(ResourceBoundError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_check_power_is_exact_at_caps_past_the_cut():
+    # the exponent is cut at the cap's bit length, which decides exactly
+    for base, exponent in ((2, 100), (3, 50), (1, 10**9)):
+        limits = Limits(max_candidates=base**exponent)
+        limits.check_power("max_candidates", base, exponent, "x")
+        if base > 1:
+            with pytest.raises(ResourceBoundError, match=rf"^x needs {base}\^{exponent + 1}, more than "):
+                limits.check_power("max_candidates", base, exponent + 1, "x")
+    with pytest.raises(ResourceBoundError, match=r"^x needs 2\^64, more than max_candidates \(10000000\)$"):
+        Limits().check_power("max_candidates", 2, 64, "x")
+    with pytest.raises(ResourceBoundError, match=r"^x needs 9223372036854775808, more than max_candidates "):
+        Limits().check_power("max_candidates", 2, 63, "x")

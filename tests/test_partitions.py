@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,7 +20,7 @@ from polinv import (
     partition_lattice,
 )
 from polinv.limits import Limits
-from polinv.partitions import bell_number
+from polinv.partitions import _growth_strings, bell_number
 
 from helpers import (
     AND,
@@ -63,6 +63,17 @@ def test_all_partitions_yields_no_duplicates():
     for k in range(1, 6):
         parts = list(all_partitions(k))
         assert len(parts) == len(set(parts))
+
+
+def test_growth_strings_are_the_restricted_growth_tuples_in_lexicographic_order():
+    # ideal_downset builds its members in this order and all_partitions
+    # yields in it; the one list is reused, so each string is copied.  The
+    # tuples of product(range(n), repeat=n) with t[i] <= i, which every
+    # such string has, come in the same order as there, n! of them
+    for n in range(1, 9):
+        candidates = product(*(range(i + 1) for i in range(n)))
+        expected = [list(t) for t in candidates if all(t[i] <= max(t[:i], default=-1) + 1 for i in range(n))]
+        assert [list(labels) for labels in _growth_strings(n)] == expected
 
 
 def test_bell_numbers_count_partitions():

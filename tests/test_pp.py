@@ -2,6 +2,7 @@ import gc
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,20 +11,27 @@ from polinv import (
     Domain,
     EqualityAtom,
     ParseError,
+    Partition,
     PPFormula,
     Relation,
     RelationAtom,
     ResourceBoundError,
+    all_partitions,
     eval_pp,
+    galois_check,
+    ideal_downset,
+    inv,
     is_pp_definable,
     load_workspace,
     parse_pp,
     parse_pp_file,
+    partition_lattice,
     pol,
     pp_closure_of,
     pp_witness,
     preserves,
 )
+from polinv.cli import run
 
 from helpers import (
     AND,
@@ -31,6 +39,7 @@ from helpers import (
     EQ,
     LEQ,
     NEQ,
+    NOT,
     THREE,
     empty_relation,
     full_relation,
@@ -39,11 +48,14 @@ from helpers import (
     oracle_parse_pp,
     oracle_parse_pp_file,
     oracle_pp_closure_of,
+    opset,
     random_formula,
     random_relation,
     relation_set,
     renamed,
 )
+
+DATA = Path(__file__).parent / "data"
 
 ENV = relation_set([LEQ, NEQ, EQ])
 ENV_BY_NAME = {"leq": LEQ, "neq": NEQ, "eq": EQ}
@@ -504,13 +516,23 @@ def test_pp_closure_and_witness_match_enumerate_all_oracle():
 
 
 def test_searches_leave_nothing_for_the_cyclic_collector():
-    # each table search is freed by reference counting as soon as it is
-    # done; one caught in a reference cycle would hold its constraint lists
-    # until the cyclic collector ran
+    # each search is freed by reference counting as soon as it is done;
+    # one caught in a reference cycle would hold its constraint lists, its
+    # image table or its found list until the cyclic collector ran
     succ = Relation(THREE, 2, ((0, 1), (1, 2), (2, 0)))
     pair = Relation(THREE, 2, ((0, 1), (2, 0)))
     three_env = relation_set([succ], THREE)
+    check = ["check", "--ops", str(DATA / "and.ops"), "--arity", "2"]
+    diag = ["diag", "--kappa", "4", "--generators", "0,1|2|3", "--domain", "2"]
+    run(check)  # builds the parser that every later run reuses
     calls = [
+        lambda: inv(opset([AND, NOT]), 3),
+        lambda: galois_check(opset([AND]), 2),
+        lambda: ideal_downset([Partition(4, ((0, 1), (2,), (3,)))], 4),
+        lambda: list(all_partitions(4)),
+        lambda: partition_lattice(4),
+        lambda: run(check),
+        lambda: run(diag),
         lambda: pol(relation_set([LEQ]), 2),
         lambda: pol(three_env, 1),
         lambda: pp_witness(NEQ, relation_set([LEQ])),
