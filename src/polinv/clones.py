@@ -12,7 +12,7 @@ invariant_closure run the one semi-naive loop _closing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import Operation, OperationSet, Relation, _check_count, _row_key, make_projection, row_images
@@ -109,13 +109,12 @@ def _closing(
 
     Semi-naive: the nullary members' constant tuples join the seeds, and
     each round applies a member only to the row combinations that hold a
-    tuple new in the previous round: one _images call per first new
-    position, with new rows there, older rows before it and any rows
+    tuple new in the previous round: one core.row_images call per first
+    new position, with new rows there, older rows before it and any rows
     after it, and none for a position with no combination (every position
-    but the first while no row is older).  Rows are keyed by core._row_key,
-    as bytes while d <= 256, so a member whose d^m cells fit a byte is
-    applied by bytes.translate and a wider one by row_images (see
-    _images); only new images become tuples in current.  The round guard
+    but the first while no row is older).  Rows and images are keyed by
+    core._row_key, as bytes while d <= 256, and deduplicated as keys;
+    only new images become tuples in current.  The round guard
     counts the combinations alone, |all|^m - |older|^m per member of
     arity m, and refuses a round under what, the caller's name for it.
     Its callers close a relation (invariant_closure) and one arity's
@@ -134,55 +133,11 @@ def _closing(
         for f in applied:
             for i in range(f.arity if older else 1):
                 row_lists = [older] * i + [fresh] + [every] * (f.arity - 1 - i)
-                produced.update(_images(f.table, d, width, row_lists))
+                produced.update(row_images(f.table, d, width, row_lists))
         older, fresh = every, list(produced - known)
         known.update(fresh)
         current.update(map(tuple, fresh))
         yield len(current)
-
-
-def _images(table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence]) -> Iterator:
-    """The coordinatewise images under table, of arity m = len(row_lists),
-    of the combinations in product(*row_lists) of rows keyed by _row_key,
-    keyed the same way, in no promised order.
-
-    A table with more than 256 cells (or values past a byte) goes through
-    row_images.  A narrower one is padded to 256 bytes and looked up by
-    bytes.translate: a unary table translates each row, and a nullary
-    one the zero row, since its one combination picks cell 0 in every
-    column; a table of arity 2 or more goes through _lane_blocks, one
-    translate per head.
-    """
-    if max(d, d ** len(row_lists)) > 256:
-        return map(_row_key(d), row_images(table, d, width, row_lists))
-    padded = bytes(table).ljust(256, b"\0")
-    *heads, lasts = row_lists or [[bytes(width)]]
-    if not heads:
-        return map(bytes.translate, lasts, repeat(padded))
-    return chain.from_iterable(_lane_blocks(padded, d, width, heads, lasts))
-
-
-def _lane_blocks(
-    padded: bytes, d: int, width: int, heads: Sequence[Sequence[bytes]], lasts: Sequence[bytes]
-) -> Iterator[Iterator[bytes]]:
-    """For each head in product(*heads), the images of it followed by
-    every last row, under a table of d^m <= 256 cells padded to 256 bytes.
-
-    A row of bytes read as a little-endian int holds one coordinate per
-    byte lane.  Head row j times d^(m-1-j), summed over the head, plus a
-    last row hold each column's cell index in its lane, with no carry
-    since every index is below d^m <= 256.  So one head's cells against
-    all last rows are one int: the head repeated once per last row, plus
-    the last rows joined.  Turned back into bytes, that block is looked
-    up by one translate and cut into images.
-    """
-    count = len(lasts)
-    tail = int.from_bytes(b"".join(lasts), "little")
-    cuts = [slice(k * width, k * width + width) for k in range(count)]
-    lanes = [[int.from_bytes(row, "little") * d ** (len(heads) - j) for row in rows] for j, rows in enumerate(heads)]
-    for head in map(sum, product(*lanes)):
-        cells = int.from_bytes(head.to_bytes(width, "little") * count, "little") + tail
-        yield map(cells.to_bytes(count * width, "little").translate(padded).__getitem__, cuts)
 
 
 def invariant_closure(

@@ -13,12 +13,13 @@ OperationSet and RelationSet live here too, next to their members, and
 so does a relation's core (_core): the relation with repeated columns
 merged and cylinder coordinates dropped, which has the same
 polymorphisms.  preserves decides on the core and pol constrains by
-cores.  Here too is row_images, the kernel that applies an operation
-to rows coordinatewise: compose, preserves, and the constraint and pin
-cells of pol's search (galois._constraints, pp._reachable) call it.
-The clone and invariant closures (clones._closing) call it only for a
-member whose table has more than 256 cells; a narrower one is applied
-on byte lanes by bytes.translate (clones._images).
+cores.  Here too is row_images, the one kernel that applies an
+operation to rows coordinatewise, on rows keyed by _row_key (bytes
+while d <= 256): compose, preserves, the clone and invariant closures
+(clones._closing), and the constraint and pin cells of pol's search
+(galois._constraints, pp._reachable) call it.  It applies a table of at
+most 256 cells on byte lanes by bytes.translate, and any other by
+folding the head rows of each combination into cell indices.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def make_projection(domain: Domain, arity: int, index: int, name: str | None = N
 def compose(f: Operation, gs: Sequence[Operation], arity: int | None = None) -> Operation:
     """Superposition f(g_0(args), ..., g_{m-1}(args)), computed by
     row_images as f applied coordinatewise to the tables of gs, one row
-    list each.
+    list each, keyed by _row_key.
 
     All of gs must share one arity, which becomes the result arity; when
     f is nullary gs is empty and the result arity must be passed
@@ -245,38 +246,82 @@ def compose(f: Operation, gs: Sequence[Operation], arity: int | None = None) -> 
             raise ValueError("composing a nullary operation requires an explicit result arity")
         n = arity
     d = f.domain.size
-    (table,) = row_images(f.table, d, d**n, [(g.table,) for g in gs])
+    (table,) = row_images(f.table, d, d**n, [(_row_key(d)(g.table),) for g in gs])
     return Operation(f.domain, n, table)
 
 
+def _row_key(d: int) -> type:
+    """How a row over {0, ..., d-1} is keyed where its values are compared
+    or sliced in bulk: bytes, one per coordinate, while values fit in a
+    byte, else the tuple itself."""
+    return bytes if d <= 256 else tuple
+
+
 def row_images(
-    table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence[tuple[int, ...]]]
-) -> Iterator[tuple[int, ...]]:
+    table: Sequence[int], d: int, width: int, row_lists: Sequence[Sequence[Sequence[int]]]
+) -> Iterator[Sequence[int]]:
     """The coordinatewise image under table, an operation's value table
     on {0, ..., d-1} of arity m = len(row_lists), of each combination in
     product(*row_lists) of rows of the given width, in that order.  With
     range(d**m) as the table each image holds the cells its columns index.
+    Rows are keyed by _row_key(d) and so are the images, save that those
+    of a range past 256 cells, which may hold a value past a byte, are
+    tuples.
 
-    The table is split once into its d^(m-1) rows of d values.  Each head
-    (the first m-1 rows of a combination) is folded into one cell index
-    per column, which picks one such row per column; every last row is
-    then mapped through those rows at C level.  A nullary table yields
-    its one constant tuple.
+    The route is chosen once.  A table with max(d, len(table)) <= 256 has
+    its cells and values in a byte (an operation table's values are below
+    d, a range's below its length): it is padded to 256 bytes and looked
+    up by bytes.translate, a unary table on each row and a nullary one on
+    the zero row (its one combination picks cell 0 in every column), a
+    wider one through _lane_blocks.  Any other goes through _fold_blocks.
     """
-    if not row_lists:
-        yield (table[0],) * width
-        return
-    *heads, lasts = row_lists
-    if not heads:  # a unary table is its one row, read by every column
-        yield from map(tuple, map(map, repeat(getitem), repeat([table] * width), lasts))
-        return
+    *heads, lasts = row_lists or [[bytes(width)]]
+    if max(d, len(table)) > 256:
+        return chain.from_iterable(_fold_blocks(table, d, width, heads, lasts))
+    padded = bytes(table).ljust(256, b"\0")
+    if not heads:
+        return map(bytes.translate, lasts, repeat(padded))
+    return chain.from_iterable(_lane_blocks(padded, d, width, heads, lasts))
+
+
+def _lane_blocks(
+    padded: bytes, d: int, width: int, heads: Sequence[Sequence[bytes]], lasts: Sequence[bytes]
+) -> Iterator[Iterator[bytes]]:
+    """For each head in product(*heads), the images of it followed by
+    every last row, under a table of d^m <= 256 cells padded to 256 bytes.
+
+    A row of bytes read as a little-endian int holds one coordinate per
+    byte lane.  Head row j times d^(m-1-j), summed over the head, plus a
+    last row hold each column's cell index in its lane, with no carry
+    since every index is below d^m <= 256.  So one head's cells against
+    all last rows are one int: the head repeated once per last row, plus
+    the last rows joined.  Turned back into bytes, that block is looked
+    up by one translate and cut into images.
+    """
+    count = len(lasts)
+    tail = int.from_bytes(b"".join(lasts), "little")
+    cuts = [slice(k * width, k * width + width) for k in range(count)]
+    lanes = [[int.from_bytes(row, "little") * d ** (len(heads) - j) for row in rows] for j, rows in enumerate(heads)]
+    for head in map(sum, product(*lanes)):
+        cells = int.from_bytes(head.to_bytes(width, "little") * count, "little") + tail
+        yield map(cells.to_bytes(count * width, "little").translate(padded).__getitem__, cuts)
+
+
+def _fold_blocks(table: Sequence[int], d: int, width: int, heads: Sequence, lasts: Sequence) -> Iterator[Iterator]:
+    """For each head in product(*heads), the images of it followed by
+    every last row, as tuples if the table holds a value past a byte.  The
+    table is split into its d^(m-1) rows of d values, and the head folded
+    into one cell index per column from cell 0, which picks one such row
+    per column; every last row is then mapped through those rows at C level.
+    """
+    key = _row_key(max(d, max(table) + 1))
     rows = [table[j : j + d] for j in range(0, len(table), d)]
-    for first, *rest in product(*heads):
-        cells: Iterable[int] = first
-        for row in rest:
+    for head in product(*heads):
+        cells: Iterable[int] = bytes(width)
+        for row in head:
             cells = map(add, map(mul, cells, repeat(d)), row)
         cell_rows = list(map(rows.__getitem__, cells))
-        yield from map(tuple, map(map, repeat(getitem), repeat(cell_rows), lasts))
+        yield map(key, map(map, repeat(getitem), repeat(cell_rows), lasts))
 
 
 def preserves(f: Operation, r: Relation) -> bool:
@@ -291,15 +336,9 @@ def preserves(f: Operation, r: Relation) -> bool:
     if f.domain != r.domain:
         raise ValueError("operation and relation over different domains")
     r = _core(r)
-    tset = set(r.tuples)
-    return all(t in tset for t in row_images(f.table, f.domain.size, r.arity, [r.tuples] * f.arity))
-
-
-def _row_key(d: int) -> type:
-    """How a row over {0, ..., d-1} is keyed where its values are compared
-    or sliced in bulk: bytes, one per coordinate, while values fit in a
-    byte, else the tuple itself."""
-    return bytes if d <= 256 else tuple
+    rows = list(map(_row_key(f.domain.size), r.tuples))
+    tset = set(rows)
+    return all(t in tset for t in row_images(f.table, f.domain.size, r.arity, [rows] * f.arity))
 
 
 def _core(r: Relation) -> Relation:

@@ -22,12 +22,12 @@ core.OperationSet and core.RelationSet values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement
 from operator import lshift, or_
 from typing import Iterable, Iterator, Sequence
 
 from .clones import _clone_slice
-from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, row_images
+from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, _row_key, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -251,7 +251,7 @@ def _constraints(rels: RelationSet, arity: int, limits: Limits) -> list[list[_Ch
     checks: list[list[_Check]] = [[] for _ in range(cells)]
     for r in cores:
         tset = set(r.tuples)
-        for vec in row_images(range(cells), d, r.arity, [r.tuples] * arity):
+        for vec in row_images(range(cells), d, r.arity, [list(map(_row_key(d), r.tuples))] * arity):
             checks[max(vec, default=0)].append((tset, vec))
     return checks
 

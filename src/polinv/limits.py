@@ -55,15 +55,21 @@ class Limits:
 
     def check_power(self, name: str, base: int, exponent: int, what: str) -> None:
         """Refuse base^exponent when it exceeds the cap held in the field
-        called name.  An exponent over 64 is cut at b, the larger of 64 and
-        the cap's bit length: as 2^b > cap, the cut power passes the cap
-        exactly when the whole one does.  A refused power of 2^64 or more
-        is shown as base^exponent, as str() refuses ints of over 4,300 digits."""
+        called name (see _power)."""
         cap = getattr(self, name)
-        count = base ** (exponent if exponent <= 64 else min(exponent, max(64, cap.bit_length())))
+        count, shown = _power(base, exponent, cap)
         if count > cap:
-            shown = count if count < 1 << 64 else f"{base}^{exponent}"
             raise ResourceBoundError(f"{what} needs {shown}, more than {name} ({cap})")
+
+
+def _power(base: int, exponent: int, cap: int) -> tuple[int, int | str]:
+    """base^exponent, exact whenever it is within cap, and how a refusal
+    shows it.  An exponent over 64 is cut at b, the larger of 64 and the
+    cap's bit length: as 2^b > cap, the cut power passes the cap exactly
+    when the whole one does.  A power of 2^64 or more is shown as
+    base^exponent, as str() refuses ints of over 4,300 digits."""
+    count = base ** (exponent if exponent <= 64 else min(exponent, max(64, cap.bit_length())))
+    return count, count if count < 1 << 64 else f"{base}^{exponent}"
 
 
 DEFAULT_LIMITS = Limits()

@@ -28,7 +28,7 @@ from itertools import chain, filterfalse, islice, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Union
 
-from .core import Domain, Operation, Relation, RelationSet, row_images
+from .core import Domain, Operation, Relation, RelationSet, _row_key, row_images
 from .errors import ParseError
 from .galois import _constraints, _tables
 from .limits import DEFAULT_LIMITS, Limits
@@ -350,7 +350,7 @@ def _reachable(
     d = r.domain.size
     t = len(r)
     checks = _constraints(rels, t, limits)
-    (cells,) = row_images(range(d**t), d, r.arity, [(row,) for row in r.tuples])
+    (cells,) = row_images(range(d**t), d, r.arity, [(_row_key(d)(row),) for row in r.tuples])
     # x is fixed by its values on the distinct cells, so equal columns
     # take one value and no x with conflicting pins is ever tried
     pinned = sorted(set(cells))

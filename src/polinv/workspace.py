@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 from .core import Domain, Operation, OperationSet, Relation, RelationSet
 from .errors import ParseError
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, _power
 from .pp import _NAME, PPFormula, _Parser
 
 _NAME_RE = re.compile(rf"{_NAME}\Z")
@@ -99,13 +99,12 @@ def _parse_data_file(path: str, text: str, limits: Limits) -> tuple[Domain, list
         arity = number(header[1], "arity", line)
         if kind == "rel" and arity < 1:
             raise fail("relation arity in files must be at least 1", line)
-        # an op's table holds d^arity entries, here with the exponent cut
-        # at b, the cap's bit length: as 2^b > cap, it is exact whenever it
-        # is within the cap.  Each of a rel's tuples holds arity entries.
+        # an op's table holds d^arity entries (exact within the cap, see
+        # _power), each of a rel's tuples arity entries
         cap = limits.max_materialize
         if kind == "op":
-            need = domain.size ** min(arity, cap.bit_length())
-            what, shown = f"table for {name}", f"{domain.size}^{arity}"
+            need, shown = _power(domain.size, arity, cap)
+            what = f"table for {name}"
         else:
             need, what, shown = arity, f"tuple for {name}", arity
         if need > cap:

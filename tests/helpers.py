@@ -10,7 +10,6 @@ oracle.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, replace
 from itertools import combinations, product

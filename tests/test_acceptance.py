@@ -17,7 +17,6 @@ from pathlib import Path
 import polinv
 from polinv import (
     Operation,
-    OperationSet,
     Relation,
     all_partitions,
     clone_closure,

@@ -30,6 +30,7 @@ from helpers import (
     THREE,
     XOR,
     full_relation,
+    oracle_blocks,
     oracle_diagonal_relation,
     oracle_ideal_downset,
     oracle_is_ideal,
@@ -328,3 +329,103 @@ def test_parse_partition_errors():
         parse_partition("0|2", 3)
     with pytest.raises(ParseError):
         parse_partition("0,x|1", 2)
+
+
+def test_partition_rejects_bool():
+    with pytest.raises(ValueError, match="index_size must be a positive integer, got True"):
+        Partition(True, ((0,),))
+    with pytest.raises(ValueError, match="block element True outside index set of size 2"):
+        Partition(2, ((True,), (0,)))
+    with pytest.raises(ValueError, match="block element False outside index set of size 2"):
+        Partition(2, ((1,), (False,)))
+
+
+def test_kernel_partition_examples():
+    assert kernel_partition((0, 1, 0)) == Partition(3, ((0, 2), (1,)))
+    assert kernel_partition((1, 1, 1)) == Partition.top(3)
+    assert kernel_partition((0, 1, 2)) == Partition.bottom(3)
+
+
+def test_kernel_partition_invariant_under_value_renaming():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        t = [rng.randrange(3) for _ in range(n)]
+        swap = {0: 2, 1: 0, 2: 1}
+        assert kernel_partition(t) == kernel_partition([swap[v] for v in t])
+
+
+def test_partition_canonical_block_order():
+    p = Partition(3, ((2, 1), (0,)))
+    assert p.blocks == ((0,), (1, 2))
+    assert Partition.bottom(3).blocks == ((0,), (1,), (2,))
+    assert Partition.top(3).blocks == ((0, 1, 2),)
+
+
+def test_partition_validation():
+    with pytest.raises(ValueError):
+        Partition(3, ((0, 1),))
+    with pytest.raises(ValueError):
+        Partition(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        Partition(2, ((0, 1, 2),))
+
+
+def test_partition_refines():
+    fine = Partition(3, ((0,), (1,), (2,)))
+    mid = Partition(3, ((0, 1), (2,)))
+    assert fine.refines(mid)
+    assert not mid.refines(fine)
+    assert mid.refines(mid)
+    assert mid.refines(Partition.top(3))
+
+
+def test_partition_join_and_meet():
+    p = Partition(4, ((0, 1), (2,), (3,)))
+    q = Partition(4, ((0,), (1, 2), (3,)))
+    assert p.join(q) == Partition(4, ((0, 1, 2), (3,)))
+    assert p.meet(q) == Partition.bottom(4)
+    big = Partition(4, ((0, 1, 2), (3,)))
+    assert big.meet(Partition(4, ((0, 1), (2, 3)))) == Partition(4, ((0, 1), (2,), (3,)))
+
+
+def test_partition_lattice_laws():
+    rng = random.Random(29)
+    from polinv import all_partitions
+
+    parts = list(all_partitions(4))
+    for _ in range(60):
+        p, q = rng.choice(parts), rng.choice(parts)
+        j, m = p.join(q), p.meet(q)
+        assert p.refines(j) and q.refines(j)
+        assert m.refines(p) and m.refines(q)
+        assert p.join(q) == q.join(p)
+        assert p.meet(q) == q.meet(p)
+        assert p.join(p) == p and p.meet(p) == p
+
+
+def _blocks(p):
+    return {frozenset(b) for b in p.blocks}
+
+
+def test_kernel_partition_matches_oracle():
+    rng = random.Random(31)
+    for _ in range(200):
+        t = [rng.randrange(4) for _ in range(rng.randint(1, 7))]
+        assert _blocks(kernel_partition(t)) == oracle_blocks(len(t), lambda i, j: t[i] == t[j])
+    with pytest.raises(ValueError, match="^kernel of the empty tuple is undefined$"):
+        kernel_partition(())
+
+
+def test_partition_meet_matches_oracle():
+    def together(p, i, j):
+        return any(i in b and j in b for b in p.blocks)
+
+    for n in range(1, 6):
+        parts = list(all_partitions(n))
+        for p in parts:
+            for q in parts:
+                want = oracle_blocks(n, lambda i, j: together(p, i, j) and together(q, i, j))
+                assert _blocks(p.meet(q)) == want
+    with pytest.raises(ValueError, match="^partitions over different index sets$"):
+        Partition.top(2).meet(Partition.top(3))

@@ -192,7 +192,7 @@ DATA_ERRORS = [
         "a.ops:4: table for g needs 2^20000 entries, more than max_materialize (65536)",
         4,
     ),
-    ({"a.ops": "domain 2\nop g 17\n"}, "a.ops:2: table for g needs 2^17 entries, more than max_materialize (65536)", 2),
+    ({"a.ops": "domain 2\nop g 17\n"}, "a.ops:2: table for g needs 131072 entries, more than max_materialize (65536)", 2),
     ({"a.ops": "domain 2\nop g 16\n"}, "a.ops:2: table for g needs 65536 entries, file ended after 0", 2),
     ({"a.ops": "domain 1\nop g 20000\n"}, "a.ops:2: table for g needs 1 entries, file ended after 0", 2),
     # a relation's tuples are held to the same cap, at the header: arity
