@@ -119,13 +119,15 @@ class Relation:
     def __post_init__(self) -> None:
         _check_count(self.arity, "arity", 0)
         canon = sorted(set(map(tuple, self.tuples)))
-        # One pass over the lengths and one over the flattened values; only
-        # a failure walks the tuples, to name the first bad one.
+        # The lengths, the value types and the least and greatest distinct
+        # value are checked in bulk, at a cost that follows the tuples, not
+        # d; only a failure walks the tuples, to name the first bad one.
         flat = list(chain.from_iterable(canon))
+        values = set(flat)
         if (
             set(map(len, canon)) - {self.arity}
             or not set(map(type, flat)) <= {int}  # every value, since True == 1
-            or not set(flat).issubset(range(self.domain.size))
+            or (values and not 0 <= min(values) <= max(values) < self.domain.size)
         ):
             for t in canon:
                 if len(t) != self.arity:

@@ -14,17 +14,17 @@ the ideal.
 
 Every ideal is principal: it is the set of coarsenings of its finest
 member π, the common refinement of all its members.  So everything is
-built from π.  The members are the partitions of π's blocks mapped back
-onto the index set, there are Bell(number of blocks of π) of them, and
-the diagonal relation is the set of tuples constant on π's blocks.
+built from π.  A partition is a member iff π refines it.  The members
+are the partitions of π's blocks mapped back onto the index set, one
+for each restricted-growth string on those blocks, which also counts
+them; the diagonal relation is the set of tuples constant on π's blocks.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .core import Domain, Operation, Relation, _check_count, preserves
@@ -157,19 +157,6 @@ def all_partitions(index_size: int) -> Iterator[Partition]:
     return (Partition(index_size, _groups(labels)) for labels in _growth_strings(index_size))
 
 
-def bell_number(n: int) -> int:
-    """The number of partitions of an n-element set, read off the Bell
-    triangle: each row starts with the last entry of the row above, and
-    each later entry adds the entry above its left neighbour."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
-
-
 def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:
     """All partitions of the index set in canonical order."""
     _check_count(index_size, "index_size", 1)
@@ -185,8 +172,10 @@ class PartitionIdeal:
     Every such ideal is principal: it is exactly the set of coarsenings
     of its finest member π, the common refinement of all its members,
     which is kept as `finest` (not compared).  Construction verifies
-    that, so a PartitionIdeal value is always a genuine ideal.  The
-    one-block partition is always a member.
+    that, by counting π's coarsenings on the growth strings of its
+    blocks, so a PartitionIdeal value is always a genuine ideal, and
+    membership is tested as refinement by π.  The one-block partition
+    is always a member.
     """
 
     index_size: int
@@ -202,14 +191,14 @@ class PartitionIdeal:
             if p.index_size != self.index_size:
                 raise ValueError("ideal members over different index sets")
         # Every member coarsens the common refinement, whose coarsenings
-        # correspond one to one to the partitions of its blocks; the set
-        # is an ideal iff it holds all of them, that is iff the counts agree.
+        # correspond one to one to the growth strings on its blocks; the set
+        # is an ideal iff it holds all of them, that is iff the walk over
+        # those strings ends within one string per member.
         finest = _common_refinement(self.index_size, canon)
-        coarsenings = bell_number(len(finest.blocks))
-        if len(canon) != coarsenings:
+        if next(islice(_growth_strings(len(finest.blocks)), len(canon), None), None) is not None:
             raise ValueError(
                 f"not an ideal: {len(canon)} members, but their common refinement "
-                f"{finest.blocks} has {coarsenings} coarsenings"
+                f"{finest.blocks} has more than {len(canon)} coarsenings"
             )
         object.__setattr__(self, "finest", finest)
 
@@ -220,8 +209,7 @@ class PartitionIdeal:
         return len(self.members)
 
     def __contains__(self, p: Partition) -> bool:
-        i = bisect_left(self.members, p.blocks, key=lambda q: q.blocks)
-        return i < len(self.members) and self.members[i] == p
+        return p.index_size == self.index_size and self.finest.refines(p)
 
 
 def ideal_downset(
@@ -239,11 +227,12 @@ def ideal_downset(
     for p in generators:
         if p.index_size != index_size:
             raise ValueError(f"generator over index set of size {p.index_size}, expected {index_size}")
-    blocks = _common_refinement(index_size, generators).blocks
-    members = []
-    for labels in _growth_strings(len(blocks)):
-        merged = (tuple(x for j in group for x in blocks[j]) for group in _groups(labels))
-        members.append(Partition(index_size, tuple(merged)))
+    finest = _common_refinement(index_size, generators)
+    where = finest.block_of()
+    members = [
+        Partition(index_size, _groups(map(labels.__getitem__, where)))
+        for labels in _growth_strings(len(finest.blocks))
+    ]
     return PartitionIdeal(index_size, tuple(members))
 
 

@@ -691,6 +691,20 @@ def oracle_partitions(index_size):
     return {frozenset(frozenset(b) for b in blocks) for blocks in parts}
 
 
+def bell_number(n):
+    """The number of partitions of an n-element set, read off the Bell
+    triangle: each row starts with the last entry of the row above, and
+    each later entry adds the entry above its left neighbour (independent
+    of the growth strings, which PartitionIdeal counts on)."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
 def oracle_blocks(index_size, same):
     """The classes of the equivalence `same` on {0, ..., index_size-1}, as
     a set of frozensets: each index together with every index related to

@@ -47,12 +47,18 @@ def test_clone_gen_lists_nullary_generators(tmp_path):
     assert code == 2 and "unrecognized arguments: --include-nullary" in err
 
 
-def test_clone_gen_auto_names_skip_taken():
+def test_clone_gen_auto_names_skip_taken(tmp_path):
     code, out, _ = run(["clone-gen", "--ops", NOT_OPS, "--max-arity", "1"])
     assert code == 0
     names = [line.split()[1] for line in out.splitlines()[1:]]
     assert "NOT" in names
     assert len(set(names)) == len(names)
+    # a file operation named f0 moves the invented names on to f1 and f2
+    ops = tmp_path / "f0.ops"
+    ops.write_text("domain 2\n\nop c 0\n1\n\nop f0 2\n0 0 0 1\n")
+    code, out, _ = run(["clone-gen", "--ops", str(ops), "--max-arity", "2", "--quiet"])
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["c", "pr0_1", "f1", "f0", "pr0_2", "pr1_2", "f2"]
 
 
 def test_pol_output_exact():
@@ -119,6 +125,11 @@ def test_ppeval_unknown_name():
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    # ppdef --target and essential --name refuse a missing name the same way
+    code, out, err = run(["ppdef", "--rels", ORDER_REL, "--target", "nope"])
+    assert (code, out, err) == (2, "", "error: no relation named 'nope' in the loaded files\n")
+    code, out, err = run(["essential", "--ops", BOOL_OPS, "--name", "nope"])
+    assert (code, out, err) == (2, "", "error: no operation named 'nope' in the loaded files\n")
 
 
 def test_ppdef_definable():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -85,6 +86,8 @@ def test_operation_apply_reads_table_lex():
     assert AND.apply((1, 1)) == 1
     assert AND(1, 1) == 1
     assert NOT(0) == 1
+    with pytest.raises(ValueError, match="^operation of arity 2 applied to 1 arguments$"):
+        AND.apply((1,))
 
 
 def test_operation_name_ignored_by_equality():
@@ -138,6 +141,8 @@ def test_compose_nullary_inner():
     assert composite.arity == 0 and composite.table == (0,)
     with pytest.raises(ValueError):
         compose(zero, [])
+    # a nullary f takes its result arity from the argument
+    assert compose(zero, [], 2) == Operation(BOOL, 2, (0, 0, 0, 0))
 
 
 def test_compose_arity_mismatch_rejected():
@@ -145,6 +150,10 @@ def test_compose_arity_mismatch_rejected():
         compose(AND, [NOT], 1)
     with pytest.raises(ValueError):
         compose(AND, [NOT, make_projection(BOOL, 2, 0)], 2)
+    with pytest.raises(ValueError, match="^declared arity 2 does not match inner arity 1$"):
+        compose(NOT, [NOT], 2)
+    with pytest.raises(ValueError, match="^composition across different domains$"):
+        compose(NOT, [make_projection(THREE, 1, 0)])
 
 
 def test_compose_refuses_an_explicit_arity_that_is_not_a_count():
@@ -211,6 +220,13 @@ def test_relation_validation_messages():
     assert message(2, ((1, 7), (0, 5))) == "tuple (0, 5) contains 5, not a domain element of size 2"
     assert message(2, ((1,), (0, 5))) == "tuple (0, 5) contains 5, not a domain element of size 2"
     assert message(2, ((0, 5, 1),)) == "tuple (0, 5, 1) has length 3, expected arity 2"
+    # the bounds are checked on the values, so a large domain costs nothing
+    tracemalloc.start()
+    try:
+        assert Relation(Domain(10**6), 1, [(0,), (5,)]).tuples == ((0,), (5,))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_relation_accepts_lists_and_removes_duplicates():
@@ -235,6 +251,8 @@ def test_preserves_examples():
     assert preserves(NOT, NEQ)
     assert not preserves(AND, NEQ)
     assert preserves(AND, EQ)
+    with pytest.raises(ValueError, match="^operation and relation over different domains$"):
+        preserves(AND, Relation(THREE, 1, [(2,)]))
 
 
 def test_projections_preserve_everything():

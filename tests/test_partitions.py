@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 from itertools import combinations, product
 
@@ -20,7 +21,7 @@ from polinv import (
     partition_lattice,
 )
 from polinv.limits import Limits
-from polinv.partitions import _growth_strings, bell_number
+from polinv.partitions import _growth_strings
 
 from helpers import (
     AND,
@@ -29,6 +30,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    bell_number,
     full_relation,
     oracle_blocks,
     oracle_diagonal_relation,
@@ -102,6 +104,10 @@ def test_lattice_size_is_checked_as_a_count_before_the_cap():
 def test_ideal_must_contain_coarsenings():
     with pytest.raises(ValueError):
         PartitionIdeal(3, (P01_2,))  # one-block coarsening missing
+    # the count stops one string past the members, so 2,000 singleton
+    # blocks are refused after three growth strings, not Bell(2000)
+    with pytest.raises(ValueError, match=r"^not an ideal: 2 members, .* has more than 2 coarsenings$"):
+        PartitionIdeal(2000, (Partition.bottom(2000), Partition.top(2000)))
 
 
 def test_ideal_must_contain_meets():
@@ -121,6 +127,8 @@ def test_ideal_accepts_valid_members():
 def test_ideal_rejects_empty():
     with pytest.raises(ValueError):
         PartitionIdeal(3, ())
+    with pytest.raises(ValueError, match="^ideal members over different index sets$"):
+        PartitionIdeal(3, (Partition.top(3), Partition.top(2)))
 
 
 def test_ideal_downset_of_nothing_is_one_block():
@@ -181,6 +189,39 @@ def test_ideal_downset_matches_fixpoint_oracle():
         for _ in range(count):
             gens = rng.sample(lattice, rng.randint(1, 3))
             assert set(ideal_downset(gens, k)) == oracle_ideal_downset(gens, k)
+
+
+def test_ideal_count_matches_the_bell_oracle():
+    # the finest partition of 7 indices with b blocks has Bell(b)
+    # coarsenings; the ideal check accepts exactly those and refuses them
+    # with any one non-finest member left out
+    rng = random.Random(41)
+    limits = Limits(max_index=7)
+    for b in range(1, 8):
+        finest = Partition(7, tuple((i,) for i in range(b - 1)) + (tuple(range(b - 1, 7)),))
+        ideal = ideal_downset([finest], 7, limits=limits)
+        assert len(ideal) == bell_number(b)
+        assert ideal.finest == finest and PartitionIdeal(7, ideal.members) == ideal
+        others = [p for p in ideal.members if p != finest]
+        kept = len(others)
+        message = (
+            f"not an ideal: {kept} members, but their common refinement "
+            f"{finest.blocks} has more than {kept} coarsenings"
+        )
+        for p in others if b <= 5 else rng.sample(others, 10):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                PartitionIdeal(7, tuple(q for q in ideal.members if q != p))
+
+
+def test_membership_by_refinement_matches_the_member_set():
+    rng = random.Random(37)
+    lattices = {k: list(all_partitions(k)) for k in range(1, 6)}
+    for k, lattice in lattices.items():
+        for _ in range(8):
+            ideal = ideal_downset(rng.sample(lattice, rng.randint(0, min(2, len(lattice)))), k)
+            members = set(ideal.members)
+            for p in (p for parts in lattices.values() for p in parts):
+                assert (p in ideal) == (p in members)
 
 
 def accepts(k, members):
@@ -369,6 +410,8 @@ def test_partition_validation():
         Partition(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         Partition(2, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="^empty block in partition$"):
+        Partition(3, ((0, 1, 2), ()))
 
 
 def test_partition_refines():
@@ -378,6 +421,8 @@ def test_partition_refines():
     assert not mid.refines(fine)
     assert mid.refines(mid)
     assert mid.refines(Partition.top(3))
+    with pytest.raises(ValueError, match="^partitions over different index sets$"):
+        mid.refines(Partition.top(2))
 
 
 def test_partition_join_and_meet():
@@ -387,6 +432,8 @@ def test_partition_join_and_meet():
     assert p.meet(q) == Partition.bottom(4)
     big = Partition(4, ((0, 1, 2), (3,)))
     assert big.meet(Partition(4, ((0, 1), (2, 3)))) == Partition(4, ((0, 1), (2,), (3,)))
+    with pytest.raises(ValueError, match="^partitions over different index sets$"):
+        p.join(Partition.top(3))
 
 
 def test_partition_lattice_laws():

@@ -227,6 +227,7 @@ def test_to_text_round_trip():
         (lambda: RelationAtom("exists", ("x",)), "reserved word 'exists' cannot be used as a relation name"),
         (lambda: RelationAtom("r", ("x", "\xe9")), "expected a variable, found '\xe9'"),
         (lambda: RelationAtom("r", ("x\n",)), "expected a variable, found 'x\\n'"),
+        (lambda: RelationAtom("r", ()), "relation atom needs at least one variable"),
         (lambda: EqualityAtom("x", ""), "expected a variable, found ''"),
         (lambda: EqualityAtom("true", "x"), "reserved word 'true' cannot be used as a variable"),
     ],
@@ -412,6 +413,8 @@ def test_pp_closure_examples():
     assert pp_closure_of(half, relation_set([NEQ])).tuples == ((0, 1), (1, 0))
     assert pp_closure_of(LEQ, relation_set([LEQ])) == LEQ
     assert pp_closure_of(NEQ, relation_set([LEQ])) == full_relation(BOOL, 2)
+    with pytest.raises(ValueError, match="^relation and environment over different domains$"):
+        pp_closure_of(Relation(THREE, 1, [(2,)]), relation_set([LEQ]))
 
 
 def test_pp_closure_of_empty_relation():
