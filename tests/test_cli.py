@@ -454,13 +454,19 @@ def test_check_and_inv_stdout_match_golden_files():
     # in reversed rank order; recorded from the search in natural order.
     # 5100 = 4 + 14 + 122 + 4960 invariants over k = 1..4, the counts of
     # AND mirrored by x -> 1 - x.  {NOT, XOR} sits near the tie between the
-    # two orders; recorded from the search that scored the built image table
+    # two orders; recorded from the search that scored the built image table.
+    # MAJ (natural order), the near-projection NP3 (reversed order) and NOT
+    # alone are filed one set of later rows at a time, not as a binary
+    # member; recorded from the table that filed unary members all at once
     not_xor = ["--ops", str(DATA / "not.ops"), "--ops", str(DATA / "xor.ops")]
     cases = (
         (["check", "--ops", str(DATA / "or.ops"), "--arity", "2"], "check_or_a2.out"),
         (["inv", "--ops", str(DATA / "or.ops"), "--arity", "3"], "inv_or_a3.out"),
         (["check", *not_xor, "--arity", "2"], "check_not_xor_a2.out"),
         (["inv", *not_xor, "--arity", "3"], "inv_not_xor_a3.out"),
+        (["inv", "--ops", MAJ_OPS, "--arity", "3"], "inv_maj_a3.out"),
+        (["inv", "--ops", str(DATA / "np3.ops"), "--arity", "3"], "inv_np3_a3.out"),
+        (["inv", "--ops", NOT_OPS, "--arity", "3"], "inv_not_a3.out"),
     )
     for argv, name in cases:
         code, out, err = run(argv)
@@ -470,6 +476,9 @@ def test_check_and_inv_stdout_match_golden_files():
         "clone : 3", "invariants : 5100", "recovered : 3", "PASS"
     ]
     assert (GOLDEN / "inv_or_a3.out").read_text().splitlines()[0] == "inv domain=2 arity=3 count=122"
+    assert [(GOLDEN / f"inv_{n}_a3.out").read_text().splitlines()[0] for n in ("maj", "np3", "not")] == [
+        "inv domain=2 arity=3 count=166", "inv domain=2 arity=3 count=16", "inv domain=2 arity=3 count=16"
+    ]
 
 
 def test_diag_refusals_are_pinned():
