@@ -135,9 +135,13 @@ class Relation:
                 _check_values(t, self.domain.size, f"tuple {t}")
         object.__setattr__(self, "tuples", tuple(canon))
 
-    def __contains__(self, t: Sequence[int]) -> bool:
-        i = bisect_left(self.tuples, tuple(t))
-        return i < len(self.tuples) and self.tuples[i] == tuple(t)
+    def __contains__(self, t: Any) -> bool:
+        try:
+            t = tuple(t)
+            i = bisect_left(self.tuples, t)
+        except TypeError:  # not iterable, or an entry that does not compare with an int
+            return False
+        return i < len(self.tuples) and self.tuples[i] == t
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -156,16 +160,16 @@ class Relation:
 
 class _MemberSet:
     """The body of OperationSet and RelationSet.  A subclass names the
-    field holding its members (_field), their kind in messages (_kind) and
-    their key (_key), (arity, table) or (arity, tuples).  Members over
-    other domains are refused, duplicate keys keep the first name given,
-    and members are held in key order."""
+    field holding its members (_field), their class (_type, named in
+    messages) and their key (_key), (arity, table) or (arity, tuples).
+    Members over other domains are refused, duplicate keys keep the first
+    name given, and members are held in key order."""
 
     def __post_init__(self) -> None:
         key, seen = self._key, {}
         for m in getattr(self, self._field):
             if m.domain is not self.domain and m.domain != self.domain:
-                raise ValueError(f"{self._kind} {m.name or key(m)[1]} over a different domain")
+                raise ValueError(f"{self._type.__name__.lower()} {m.name or key(m)[1]} over a different domain")
             seen.setdefault(key(m), m)
         object.__setattr__(self, self._field, tuple(sorted(seen.values(), key=key)))
 
@@ -176,6 +180,8 @@ class _MemberSet:
         return len(getattr(self, self._field))
 
     def __contains__(self, m: Any) -> bool:
+        if not isinstance(m, self._type):
+            return False
         members = getattr(self, self._field)
         i = bisect_left(members, self._key(m), key=self._key)
         return i < len(members) and members[i] == m
@@ -192,7 +198,7 @@ class OperationSet(_MemberSet):
 
     domain: Domain
     ops: tuple[Operation, ...]
-    _field, _kind, _key = "ops", "operation", attrgetter("arity", "table")
+    _field, _type, _key = "ops", Operation, attrgetter("arity", "table")
 
     def max_arity(self) -> int:
         return max((op.arity for op in self.ops), default=0)
@@ -208,7 +214,7 @@ class RelationSet(_MemberSet):
 
     domain: Domain
     rels: tuple[Relation, ...]
-    _field, _kind, _key = "rels", "relation", attrgetter("arity", "tuples")
+    _field, _type, _key = "rels", Relation, attrgetter("arity", "tuples")
 
 
 def make_projection(domain: Domain, arity: int, index: int, name: str | None = None) -> Operation:

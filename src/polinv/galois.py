@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from operator import lshift, or_
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .clones import _clone_slice
@@ -43,19 +43,19 @@ def _check_inv_caps(ops: OperationSet, arity: int, limits: Limits) -> None:
 
 def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[dict[tuple[int, ...], int]]]:
     """The images of every row combination at the given arity under the
-    members of ops, filed by the set of row ranks the combination uses.
+    members of ops, each filed in one slot by the set S of row ranks it uses.
 
     Returns (root, lane, wide): root holds the images of the nullary
-    members; lane[b], in its bit field t (bits t*size up to (t+1)*size),
-    those of exactly rows {t, b}, so the images of row t alone sit in
-    field t of lane[t] and those of a pair in two lanes; and wide[t][q]
-    those of t and the two or more lower ranks q, ascending.  Each member
-    is applied once to all its row combinations, by index arithmetic.  A
-    unary or binary member is applied to every combination at once, and
-    its images are ORed in one lane at a time.  A wider member is applied
-    per first row: the later rows pick per coordinate a table cell below
-    its argument, and the images of each set of later rows are ORed and
-    filed together.
+    members (S empty); lane[b], in its bit field t >= b (bits t*size up to
+    (t+1)*size), those of S = {b, t}, so a row t alone sits in field t of
+    lane[t], a pair in the lane of its lower rank, and no field below b is
+    written; and wide[t][q] those of S = {t} and the two or more lower
+    ranks q, ascending.  Each member is applied once to all its row
+    combinations, by index arithmetic.  A binary member is applied to every
+    pair at once, and its images are ORed in one lane at a time.  Every
+    other member is applied per first row: the later rows pick per
+    coordinate a table cell below its argument, and the images of each set
+    of later rows are ORed and filed together.
     """
     domain = ops.domain
     d = domain.size
@@ -66,21 +66,18 @@ def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[di
     fields = [1 << t * size for t in range(size)]  # the lowest bit of each lane field
     for f in ops:
         m, table = f.arity, f.table
-        if m in (1, 2):
-            # image[p] ranks the image of the cells packed as p, base d^m per
+        if m == 2:
+            # image[p] ranks the image of the cells packed as p, base d^2 per
             # coordinate, and spread[r] packs row r: rows r and s give the
             # cells d * spread[r] + spread[s]
             image, spread = [0], [0]
             for _ in range(arity):
                 image = [g * d + v for g in image for v in table]
-                spread = [x * d**m + a for x in spread for a in range(d)]
-            if m == 1:
-                lane[:] = map(or_, lane, map(lshift, fields, image))
-                continue
+                spread = [x * d * d + a for x in spread for a in range(d)]
             for b, p in enumerate(spread):
-                firsts = [image[p * d + x] for x in spread]  # rows (b, t) for every t
-                lasts = [image[x * d + p] for x in spread]  # rows (t, b)
-                lane[b] |= sum(map(lshift, fields, firsts)) | sum(map(lshift, fields, lasts))
+                firsts = [image[p * d + x] for x in spread[b:]]  # rows (b, t) for every t >= b
+                lasts = [image[x * d + p] for x in spread[b:]]  # rows (t, b)
+                lane[b] |= sum(map(lshift, fields[b:], firsts)) | sum(map(lshift, fields[b:], lasts))
         elif m:
             step = d ** (m - 1)
             spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in domain.tuples(arity)]
@@ -108,7 +105,6 @@ def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[di
                     else:
                         b = (low or u).bit_length() - 1
                         lane[b] |= fields[t] * bits
-                        lane[t] |= fields[b] * bits
     wide = [
         {tuple(b for b in range(t) if low >> b & 1): bits for low, bits in span.items()} for t, span in enumerate(spans)
     ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from .core import Domain, Operation, Relation, _check_count, preserves
 from .errors import ParseError
@@ -208,8 +208,8 @@ class PartitionIdeal:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, p: Partition) -> bool:
-        return p.index_size == self.index_size and self.finest.refines(p)
+    def __contains__(self, p: Any) -> bool:
+        return isinstance(p, Partition) and p.index_size == self.index_size and self.finest.refines(p)
 
 
 def ideal_downset(

@@ -186,6 +186,36 @@ def oracle_inv(ops, arity, domain):
     return found
 
 
+def oracle_image_table(ops, arity):
+    """(root, lane, wide) as galois._image_table files them, by pointwise
+    evaluation: each member is applied by Operation.apply to every
+    combination in product(range(size), repeat=m) of its m rows, and the
+    rank (Domain.tuple_index) of the image is filed by the set S of row
+    ranks used, t its highest: root when S is empty, field t of
+    lane[min S] when S has one or two ranks, wide[t][S - {t}, ascending]
+    otherwise."""
+    domain = ops.domain
+    rows = list(domain.tuples(arity))
+    size = len(rows)
+    root, lane, wide = 0, [0] * size, [{} for _ in range(size)]
+    for f in ops:
+        for combo in product(range(size), repeat=f.arity):
+            if f.arity:
+                image = tuple(f.apply(col) for col in zip(*(rows[r] for r in combo)))
+            else:
+                image = (f.apply(()),) * arity
+            bit = 1 << domain.tuple_index(image)
+            s = sorted(set(combo))
+            if not s:
+                root |= bit
+            elif len(s) <= 2:
+                lane[s[0]] |= bit << s[-1] * size
+            else:
+                key = tuple(s[:-1])
+                wide[s[-1]][key] = wide[s[-1]].get(key, 0) | bit
+    return root, lane, wide
+
+
 def oracle_maximal_invariants(masks, size):
     """The invariants of one arity, as bitmasks over the size tuple ranks,
     that are maximal among those avoiding some tuple x, for every x in

@@ -18,6 +18,7 @@ from polinv import (
     compose,
     galois_check,
     graph_relation,
+    ideal_downset,
     inv,
     make_projection,
     partition_lattice,
@@ -452,3 +453,21 @@ def test_relation_set_pinned():
         RelationSet(BOOL, (LEQ, Relation(THREE, 1, ((2,),))))
     with pytest.raises(ValueError, match="^relation r over a different domain$"):
         RelationSet(BOOL, (Relation(THREE, 1, ((2,),), name="r"),))
+
+
+def test_membership_of_a_foreign_object_is_false():
+    # answered as `in` on a tuple would: an object of another class, a
+    # tuple whose entries do not compare with ints, or no iterable at all
+    # is no member
+    ideal = ideal_downset([Partition(2, ((0,), (1,)))], 2)
+    cases = [
+        (LEQ, OperationSet(BOOL, (AND,))),
+        (AND, RelationSet(BOOL, (LEQ,))),
+        (None, RelationSet(BOOL, (LEQ,))),
+        ("x", ideal),
+        (("a", 0), LEQ),
+        (5, LEQ),
+    ]
+    assert [x in s for x, s in cases] == [False] * len(cases)
+    assert [0, 0] in LEQ and (0, 1) in LEQ and [1, 0] not in LEQ
+    assert Partition(2, ((0, 1),)) in ideal

@@ -24,6 +24,7 @@ from polinv import galois
 from polinv.core import _core
 from polinv.galois import (
     _constraints,
+    _image_table,
     _invariant_masks,
     _maximal_invariants,
     _prefers_reversed,
@@ -51,6 +52,7 @@ from helpers import (
     op,
     opset,
     oracle_core,
+    oracle_image_table,
     oracle_inv,
     oracle_invariant_closure,
     oracle_kept_invariants,
@@ -163,6 +165,29 @@ def test_inv_commutes_with_domain_permutations():
                 tuple(sorted(tuple(sigma[a] for a in t) for t in r)) for r in got
             }, (gens, k, sigma)
     assert min(orders[flip, True] for flip in (False, True)) >= 10, orders
+
+
+def test_image_table_files_each_row_combination_in_one_slot():
+    # root, every lane int and every wide dict against pointwise
+    # evaluation: a pair of rows sits only in the lane of its lower rank,
+    # so every field of lane[b] below b is empty.  Each member set also
+    # runs conjugated by a -> d-1-a, the table a reversed search builds
+    rng = random.Random(243)
+    cases = [(BOOL, [f], k) for f in (NOT, AND, OR, XOR, MAJ) for k in (1, 2, 3)]
+    for domain, arities, ks, trials in ((BOOL, 4, (0, 1, 2, 3), 24), (THREE, 3, (1, 2), 16), (Domain(4), 2, (1,), 8)):
+        for trial in range(trials):
+            gens = [random_operation(rng, domain, rng.randint(0, arities)) for _ in range(rng.randint(1, 2))]
+            if trial % 2:
+                gens.append(near_projection(rng, domain, rng.randint(1, arities)))
+            cases += [(domain, gens, k) for k in ks]
+    seen = set()
+    for domain, gens, k in cases:
+        mirrored = [_conjugate(f, list(range(domain.size))[::-1]) for f in gens]
+        for members in (gens, mirrored):
+            ops = opset(members, domain)
+            assert _image_table(ops, k) == oracle_image_table(ops, k), (members, k)
+            seen.update(f.arity for f in members)
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_rank_order_on_the_roundtrip_sets_is_the_cheaper_one():

@@ -38,6 +38,7 @@ from helpers import (
     BOOL,
     EQ,
     LEQ,
+    MAJ,
     NEQ,
     NOT,
     THREE,
@@ -530,6 +531,8 @@ def test_searches_leave_nothing_for_the_cyclic_collector():
     run(check)  # builds the parser that every later run reuses
     calls = [
         lambda: inv(opset([AND, NOT]), 3),
+        lambda: inv(opset([NOT]), 3),
+        lambda: inv(opset([MAJ]), 3),
         lambda: galois_check(opset([AND]), 2),
         lambda: ideal_downset([Partition(4, ((0, 1), (2,), (3,)))], 4),
         lambda: list(all_partitions(4)),
