@@ -449,6 +449,24 @@ def test_ppdef_stdout_matches_golden_file():
     assert out == (GOLDEN / "ppdef_three.out").read_text()
 
 
+def test_pol_stdout_matches_golden_file():
+    # the ternary polymorphisms of <= on {0, 1} are the monotone ternary
+    # Boolean functions, 20 of them (the Dedekind number M(3)), tables
+    # ascending; recorded from pol building each Operation and the
+    # OperationSet through their public constructors
+    code, out, err = run(["pol", "--rels", LEQ_REL, "--arity", "3"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "pol_leq_a3.out").read_text()
+    header, *lines = out.splitlines()
+    assert header == "pol domain=2 arity=3 count=20"
+    tables = [tuple(map(int, line.split(" : ")[1].split())) for line in lines]
+    monotone = [
+        t for t in product((0, 1), repeat=8)
+        if all(t[x] <= t[y] for x in range(8) for y in range(8) if x & y == x)
+    ]
+    assert tables == monotone
+
+
 def test_check_and_inv_stdout_match_golden_files():
     # OR's images rank at or above their rows, so its invariant search runs
     # in reversed rank order; recorded from the search in natural order.
