@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .core import Operation, OperationSet, Relation, _check_count, _row_key, make_projection, row_images
+from .core import Operation, OperationSet, Relation, _built, _check_count, _row_key, make_projection, row_images
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -96,9 +96,9 @@ def clone_closure(
     for n in range(max_arity, -1, -1):
         for t in _clone_slice(generators, n, limits):
             if (n, t) not in members:
-                members[n, t] = Operation(domain, n, t)
+                members[n, t] = _built(Operation, domain=domain, arity=n, table=t, name="")
         limits.check("max_closure", len(members), "clone closure")
-    return OperationSet(domain, tuple(members.values()))
+    return OperationSet._sorted(domain, members.values())
 
 
 def _closing(
@@ -156,7 +156,7 @@ def invariant_closure(
     current = set(Relation(ops.domain, arity, tuple(seeds)).tuples)  # validates the seeds
     for _ in _closing(ops, current, arity, limits, f"invariant closure round at arity {arity}"):
         pass
-    return Relation(ops.domain, arity, tuple(current))
+    return _built(Relation, domain=ops.domain, arity=arity, tuples=tuple(sorted(current)), name="")
 
 
 def _clone_slice(ops: OperationSet, arity: int, limits: Limits) -> set[tuple[int, ...]]:
@@ -207,4 +207,5 @@ def graph_relation(
     already-closed set just re-checks the fixpoint.
     """
     _check_count(arity, "arity", 1)
-    return Relation(ops.domain, ops.domain.size**arity, tuple(_clone_slice(ops, arity, limits)))
+    tables = tuple(sorted(_clone_slice(ops, arity, limits)))
+    return _built(Relation, domain=ops.domain, arity=ops.domain.size**arity, tuples=tables, name="")

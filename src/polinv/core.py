@@ -20,6 +20,12 @@ while d <= 256): compose, preserves, the clone and invariant closures
 (galois._constraints, pp._reachable) call it.  It applies a table of at
 most 256 cells on byte lanes by bytes.translate, and any other by
 folding the head rows of each combination into cell indices.
+
+The public constructors validate and canonicalize their input.  Values
+the package has just built in canonical form (inv's relations, pol's
+operations, the closures, ideal_downset, diagonal_relation, eval_pp, the
+pp parser) skip that second validation through _built; the tests
+rebuild each through the public constructors and require it unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +35,17 @@ from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import add, attrgetter, getitem, mul
 from typing import Any, Iterable, Iterator, Sequence
+
+
+def _built(cls: type, **fields: Any) -> Any:
+    """A value of the frozen dataclass cls with every field, defaults
+    included, set as given and no __post_init__, so nothing is checked or
+    canonicalized.  Only for fields a producer here has just made
+    canonical; assert_rebuilds in tests/helpers.py holds each to that."""
+    value = object.__new__(cls)
+    for name, x in fields.items():  # vars(value).update would add a dict to each value on CPython 3.11
+        object.__setattr__(value, name, x)
+    return value
 
 
 def _check_count(value: object, what: str, least: int) -> None:
@@ -172,6 +189,12 @@ class _MemberSet:
                 raise ValueError(f"{self._type.__name__.lower()} {m.name or key(m)[1]} over a different domain")
             seen.setdefault(key(m), m)
         object.__setattr__(self, self._field, tuple(sorted(seen.values(), key=key)))
+
+    @classmethod
+    def _sorted(cls, domain: Domain, members: Iterable) -> Any:
+        """The set of members, which a producer here has made distinct and
+        over domain, built without a check (see _built): sorted by key."""
+        return _built(cls, domain=domain, **{cls._field: tuple(sorted(members, key=cls._key))})
 
     def __iter__(self) -> Iterator:
         return iter(getattr(self, self._field))
@@ -384,7 +407,7 @@ def _core(r: Relation) -> Relation:
         cols = [c for j, c in enumerate(cols) if j not in dropped]
     if len(cols) == r.arity:  # nothing merged or dropped
         return r
-    if not cols:
-        return Relation(r.domain, 0, ((),) if n else ())
-    return Relation(r.domain, len(cols), tuple(zip(*cols)))
+    # dropping a coordinate can leave a tuple twice and out of order
+    tuples = tuple(sorted(set(zip(*cols)))) if cols else ((),) if n else ()
+    return _built(Relation, domain=r.domain, arity=len(cols), tuples=tuples, name="")
 

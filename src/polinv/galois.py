@@ -27,7 +27,9 @@ from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .clones import _clone_slice
-from .core import Domain, Operation, OperationSet, Relation, RelationSet, _check_count, _core, _row_key, row_images
+from .core import (
+    Domain, Operation, OperationSet, Relation, RelationSet, _built, _check_count, _core, _row_key, row_images,
+)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -80,8 +82,9 @@ def _image_table(ops: OperationSet, arity: int) -> tuple[int, list[int], list[di
                 lane[b] |= sum(map(lshift, fields[b:], firsts)) | sum(map(lshift, fields[b:], lasts))
         elif m:
             step = d ** (m - 1)
-            spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in domain.tuples(arity)]
             later: dict[int, list[int]] = {0: [0]}  # ranks of the later rows -> their packed cells
+            if m > 1:  # a unary member has no later rows to pack
+                spread = [sum(a * step ** (arity - 1 - i) for i, a in enumerate(row)) for row in domain.tuples(arity)]
             for _ in range(m - 1):
                 grown: dict[int, list[int]] = {}
                 for w, cells in later.items():
@@ -197,11 +200,17 @@ def _invariant_masks(ops: OperationSet, arity: int, limits: Limits) -> list[int]
     return found
 
 
-def _relations(domain: Domain, arity: int, masks: Iterable[int]) -> tuple[Relation, ...]:
+def _relations(domain: Domain, arity: int, masks: Iterable[int]) -> RelationSet:
+    """The relations whose tuples are the set bits of each of the distinct
+    masks over tuple ranks, built without a check: rank order is
+    ascending.  They are sorted, since a reversed search finds them out
+    of order."""
     tuples = list(domain.tuples(arity))
-    return tuple(
-        Relation(domain, arity, tuple(t for i, t in enumerate(tuples) if mask >> i & 1)) for mask in masks
-    )
+    rels = []
+    for mask in masks:
+        subset = tuple(t for i, t in enumerate(tuples) if mask >> i & 1)
+        rels.append(_built(Relation, domain=domain, arity=arity, tuples=subset, name=""))
+    return RelationSet._sorted(domain, rels)
 
 
 def inv(
@@ -223,7 +232,7 @@ def inv(
     to the row combinations of the members.
     """
     _check_count(arity, "arity", 0)
-    return RelationSet(ops.domain, _relations(ops.domain, arity, _invariant_masks(ops, arity, limits)))
+    return _relations(ops.domain, arity, _invariant_masks(ops, arity, limits))
 
 
 _Check = tuple[set, tuple[int, ...]]  # a tuple set, and the cells whose values must form one of its tuples
@@ -294,12 +303,15 @@ def pol(
 
     Lists every table _tables yields under the constraints of rels (see
     _constraints); pp._reachable takes the first one, some cells pinned.
+    The tables come out distinct and ascending, so the members and their
+    set are built without a check.
     """
     _check_count(arity, "arity", 0)
     domain = rels.domain
     checks = _constraints(rels, arity, limits)
     tables = _tables(checks, [range(domain.size)] * len(checks))
-    return OperationSet(domain, tuple(Operation(domain, arity, table) for table in tables))
+    ops = tuple(_built(Operation, domain=domain, arity=arity, table=table, name="") for table in tables)
+    return _built(OperationSet, domain=domain, ops=ops)
 
 
 def _maximal_invariants(masks: Sequence[int], domain: Domain, arity: int) -> list[int]:
@@ -381,7 +393,10 @@ def galois_check(
     if max_k is None:
         max_k = domain.size**arity
     _check_count(max_k, "max_k", 1)
-    clone_n = OperationSet(domain, tuple(Operation(domain, arity, t) for t in _clone_slice(generators, arity, limits)))
+    tables = _clone_slice(generators, arity, limits)
+    clone_n = OperationSet._sorted(
+        domain, [_built(Operation, domain=domain, arity=arity, table=t, name="") for t in tables]
+    )
     # Invariants of the generators equal invariants of the whole closure:
     # preservation survives composition and projections preserve anything.
     # Each k-ary invariant r gives the invariant r x A^(max_k - k), which
@@ -399,7 +414,7 @@ def galois_check(
         cylinders = [m for m in cylinders if m == (m & starts) * fill]
         invariant_count += len(cylinders)
     kept = _relations(domain, max_k, _maximal_invariants(masks, domain, max_k))
-    recovered = pol(RelationSet(domain, kept), arity, limits=limits)
+    recovered = pol(kept, arity, limits=limits)
     witnesses = tuple(op for op in recovered if op not in clone_n)
     witnesses += tuple(op for op in clone_n if op not in recovered)
     return GaloisReport(

@@ -25,19 +25,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice, product
+from operator import attrgetter
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
-from .core import Domain, Operation, Relation, _check_count, preserves
+from .core import Domain, Operation, Relation, _built, _check_count, preserves
 from .errors import ParseError
 from .limits import DEFAULT_LIMITS, Limits
 
 
-def _groups(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
-    """The positions of equal labels, grouped, in order of first occurrence."""
+def _grouped(index_size: int, labels: Iterable[Hashable]) -> Partition:
+    """The partition of {0, ..., index_size-1} whose blocks group the
+    positions of equal labels, one label per index.  Each block is
+    ascending and the blocks come in order of first occurrence, that is
+    by minimum element: canonical, so it is built without a check."""
     groups: dict[Hashable, list[int]] = {}
     for pos, lab in enumerate(labels):
         groups.setdefault(lab, []).append(pos)
-    return tuple(tuple(g) for g in groups.values())
+    return _built(Partition, index_size=index_size, blocks=tuple(map(tuple, groups.values())))
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class Partition:
         for b in self.blocks + other.blocks:
             for x in b[1:]:
                 parent[find(b[0])] = find(x)
-        return Partition(self.index_size, _groups(find(i) for i in range(self.index_size)))
+        return _grouped(self.index_size, (find(i) for i in range(self.index_size)))
 
     def meet(self, other: "Partition") -> "Partition":
         """Greatest partition finer than both: their common refinement."""
@@ -121,14 +125,14 @@ def _common_refinement(index_size: int, parts: Iterable[Partition]) -> Partition
     """The meet of the partitions (the one-block partition if there are
     none), in one grouping pass over their block labels."""
     labels = [p.block_of() for p in parts]
-    return Partition(index_size, _groups(tuple(lab[i] for lab in labels) for i in range(index_size)))
+    return _grouped(index_size, (tuple(lab[i] for lab in labels) for i in range(index_size)))
 
 
 def kernel_partition(t: Sequence[int]) -> Partition:
     """Partition of positions of t grouping equal values."""
     if len(t) == 0:
         raise ValueError("kernel of the empty tuple is undefined")
-    return Partition(len(t), _groups(t))
+    return _grouped(len(t), t)
 
 
 def _growth_strings(size: int) -> Iterator[list[int]]:
@@ -154,7 +158,7 @@ def all_partitions(index_size: int) -> Iterator[Partition]:
     """Generate every partition of {0, ..., index_size-1}, one per
     restricted-growth label string."""
     _check_count(index_size, "index_size", 1)
-    return (Partition(index_size, _groups(labels)) for labels in _growth_strings(index_size))
+    return (_grouped(index_size, labels) for labels in _growth_strings(index_size))
 
 
 def partition_lattice(index_size: int, *, limits: Limits = DEFAULT_LIMITS) -> tuple[Partition, ...]:
@@ -229,11 +233,11 @@ def ideal_downset(
             raise ValueError(f"generator over index set of size {p.index_size}, expected {index_size}")
     finest = _common_refinement(index_size, generators)
     where = finest.block_of()
-    members = [
-        Partition(index_size, _groups(map(labels.__getitem__, where)))
-        for labels in _growth_strings(len(finest.blocks))
-    ]
-    return PartitionIdeal(index_size, tuple(members))
+    members = [_grouped(index_size, map(labels.__getitem__, where)) for labels in _growth_strings(len(finest.blocks))]
+    # distinct, one per growth string, finest among them; sorted, since the
+    # strings' order is not that of the blocks
+    members.sort(key=attrgetter("blocks"))
+    return _built(PartitionIdeal, index_size=index_size, members=tuple(members), finest=finest)
 
 
 def diagonal_relation(
@@ -241,12 +245,15 @@ def diagonal_relation(
 ) -> Relation:
     """All tuples over the domain whose kernel partition lies in the
     ideal: the tuples constant on the blocks of its finest member, one
-    for each assignment of domain elements to those blocks."""
+    for each assignment of domain elements to those blocks.  Blocks are
+    numbered by their least index, so assignments in lexicographic order
+    give tuples ascending and distinct, built without a check."""
     kappa = ideal.index_size
     limits.check_power("max_materialize", domain.size, kappa, "diagonal relation")
     block = ideal.finest.block_of()
     values = product(range(domain.size), repeat=len(ideal.finest.blocks))
-    return Relation(domain, kappa, [tuple(v[b] for b in block) for v in values])
+    tuples = tuple([tuple(map(v.__getitem__, block)) for v in values])
+    return _built(Relation, domain=domain, arity=kappa, tuples=tuples, name="")
 
 
 def check_finitary_preservation(

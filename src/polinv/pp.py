@@ -28,7 +28,7 @@ from itertools import chain, filterfalse, islice, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Union
 
-from .core import Domain, Operation, Relation, RelationSet, _row_key, row_images
+from .core import Domain, Operation, Relation, RelationSet, _built, _row_key, row_images
 from .errors import ParseError
 from .galois import _constraints, _tables
 from .limits import DEFAULT_LIMITS, Limits
@@ -201,6 +201,9 @@ class _Parser:
         return names
 
     def formula(self) -> PPFormula:
+        """One formula.  name and vet have checked every name and
+        declaration the constructors check, so the atoms and the formula
+        are built without checking them again."""
         self.take("def")
         name = self.name("a formula name")
         self.take("(")
@@ -211,7 +214,7 @@ class _Parser:
         declared: set[str] = set()
         self.vet(free_vars, at, declared, True)
         if self.accept("true"):
-            return PPFormula(name, free_vars, (), ())
+            return _built(PPFormula, name=name, free_vars=free_vars, exist_vars=(), atoms=())
         exist_vars: tuple[str, ...] = ()
         if self.accept("exists"):
             at = self.pos
@@ -225,14 +228,15 @@ class _Parser:
             if self.accept("("):
                 args = self.names()
                 self.take(")")
-                atoms.append(RelationAtom(head, self.vet(args, at + 2, declared, False)))
+                atoms.append(_built(RelationAtom, relation=head, variables=self.vet(args, at + 2, declared, False)))
             elif self.accept("="):
-                atoms.append(EqualityAtom(*self.vet((head, self.name("a variable")), at, declared, False)))
+                left, right = self.vet((head, self.name("a variable")), at, declared, False)
+                atoms.append(_built(EqualityAtom, left=left, right=right))
             else:  # at the name itself when the text ends there
                 where = at if self.pos == len(self.tokens) else self.pos
                 raise self.fail("expected '(' or '=' after name in atom", where)
             if not self.accept("&"):
-                return PPFormula(name, free_vars, exist_vars, tuple(atoms))
+                return _built(PPFormula, name=name, free_vars=free_vars, exist_vars=exist_vars, atoms=tuple(atoms))
 
     def formulas(self) -> Iterator[tuple[int, PPFormula]]:
         """Each formula to the end of the text, with the line of its "def"."""
@@ -331,7 +335,9 @@ def eval_pp(formula: PPFormula, env: Iterable[Relation], domain: Domain) -> Rela
         tables.append((unconstrained, set(product(domain.elements(), repeat=len(unconstrained)))))
     variables, rows = reduce(_join, tables)
     project = _getter([variables.index(v) for v in formula.free_vars])
-    return Relation(domain, formula.arity, tuple(map(project, rows)), name=formula.name)
+    # the projection can repeat a row
+    tuples = tuple(sorted(set(map(project, rows))))
+    return _built(Relation, domain=domain, arity=formula.arity, tuples=tuples, name=formula.name)
 
 
 def _reachable(
@@ -379,7 +385,7 @@ def pp_closure_of(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LI
     """
     out = set(r.tuples)
     out.update(x for x, _ in _reachable(r, rels, limits))
-    return Relation(r.domain, r.arity, tuple(out), name=r.name)
+    return _built(Relation, domain=r.domain, arity=r.arity, tuples=tuple(sorted(out)), name=r.name)
 
 
 def pp_witness(r: Relation, rels: RelationSet, *, limits: Limits = DEFAULT_LIMITS) -> Operation | None:

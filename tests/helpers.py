@@ -11,7 +11,7 @@ oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import combinations, product
 
 from polinv import (
@@ -62,6 +62,37 @@ def empty_relation(domain, arity):
 def renamed(member, name):
     """An Operation or Relation under another name, which equality ignores."""
     return replace(member, name=name)
+
+
+def rebuilt(value):
+    """value rebuilt through the public constructors, its parts first: a
+    dataclass from its init fields, a list or tuple entry by entry, in
+    its own type.  So each part is canonicalized and checked again."""
+    if is_dataclass(value):
+        return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields(value) if f.init})
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(rebuilt, value))
+    return value
+
+
+def shape(value):
+    """Every field of value, nested, with the type of each part: unlike
+    ==, it sees fields that do not compare (a name, an ideal's finest
+    member), a list where a tuple belongs and bytes for a tuple."""
+    if is_dataclass(value):
+        return type(value), tuple((f.name, shape(getattr(value, f.name))) for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(shape, value))
+    return type(value), value
+
+
+def assert_rebuilds(value):
+    """The trust test of core._built: a value the package built without
+    checks equals its rebuild through the public constructors, with the
+    same fields in the same order and of the same types."""
+    again = rebuilt(value)
+    assert value == again
+    assert shape(value) == shape(again), value
 
 
 def arity_members(members, arity):

@@ -31,6 +31,7 @@ from helpers import (
     THREE,
     XOR,
     arity_members,
+    assert_rebuilds,
     near_projection,
     op,
     opset,
@@ -189,7 +190,9 @@ def test_closure_matches_the_naive_oracle():
         if rng.random() < 0.5:  # a projection under another name
             n = rng.randint(1, max_arity)
             gens.append(make_projection(domain, n, rng.randrange(n), name="p"))
-        got = {(f.arity, f.table): f.name for f in clone_closure(opset(gens, domain), max_arity)}
+        closed = clone_closure(opset(gens, domain), max_arity)
+        assert_rebuilds(closed)
+        got = {(f.arity, f.table): f.name for f in closed}
         assert got == oracle_clone_closure(opset(gens, domain), max_arity, domain), (trial, gens)
 
 
@@ -236,8 +239,10 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
         closed = oracle_clone_closure(ops, 1, wide)
         assert {(f.arity, f.table): f.name for f in clone_closure(ops, 1)} == closed, trial
         assert set(graph_relation(ops, 1).tuples) == {t for k, t in closed if k == 1}, trial
+        assert_rebuilds(graph_relation(ops, 1))
         seeds = [tuple(rng.choices(range(300), k=2)) for _ in range(rng.randint(1, 3))]
         assert invariant_closure(ops, seeds, 2) == oracle_invariant_closure(gens, seeds, 2, wide), trial
+        assert_rebuilds(invariant_closure(ops, seeds, 2))
     sizes = []
     for trial in range(6):
         gens = [near_projection(rng, BOOL, 9)] + [random_operation(rng, BOOL, 0) for _ in range(trial % 2)]
@@ -247,10 +252,12 @@ def test_closures_with_a_wide_member_match_the_naive_oracles():
         if trial < 2:  # with and without a constant: the slowest closures here
             seeds = rng.sample(list(BOOL.tuples(2)), 3)
             closed = invariant_closure(ops, seeds, 2)
+            assert_rebuilds(closed)
             assert closed == oracle_invariant_closure(gens, seeds, 2, BOOL), trial
             sizes.append(len(closed))
         # the unary slice is the closure of the identity's table
         assert graph_relation(ops, 1) == oracle_invariant_closure(gens, [(0, 1)], 2, BOOL), trial
+        assert_rebuilds(graph_relation(ops, 1))
     assert 4 in sizes, sizes
 
 

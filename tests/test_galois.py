@@ -45,6 +45,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    assert_rebuilds,
     cylinder,
     empty_relation,
     full_relation,
@@ -123,7 +124,9 @@ def test_inv_matches_filtering_oracle():
     max3 = op([max(x, y) for x, y in THREE.tuples(2)], domain=THREE)
     cases += [(THREE, [max3], k) for k in (1, 2)]
     for domain, ops, arity in cases:
-        got = {r.tuples for r in inv(opset(ops, domain), arity)}
+        found = inv(opset(ops, domain), arity)
+        assert_rebuilds(found)
+        got = {r.tuples for r in found}
         want = {r.tuples for r in oracle_inv(ops, arity, domain)}
         assert got == want
 
@@ -326,7 +329,9 @@ def test_pol_matches_filtering_oracle():
         cases += [(BOOL, rels, 1), (BOOL, rels, 2)]
     cases.append((THREE, [Relation(THREE, 2, ((0, 0), (1, 1), (2, 2), (0, 1)))], 1))
     for domain, rels, arity in cases:
-        got = {f.table for f in pol(relation_set(rels, domain), arity)}
+        found = pol(relation_set(rels, domain), arity)
+        assert_rebuilds(found)
+        got = {f.table for f in found}
         want = {f.table for f in oracle_pol(rels, arity, domain)}
         assert got == want
 
@@ -438,6 +443,7 @@ def test_galois_check_matches_the_all_arity_all_x_oracle():
                 oracle_kept_invariants(gens, max_k)
             verdicts["refused"] += 1
             continue
+        assert_rebuilds(report)
         count, kept = oracle_kept_invariants(gens, max_k)
         recovered = pol(relation_set(kept, domain), n)
         assert (report.invariant_count, report.recovered_ops) == (count, recovered)
@@ -469,6 +475,7 @@ def test_pol_by_cores_matches_the_filtering_oracle():
             assert all(_core(r).arity < r.arity for r in rels[1:] if r is not b)
             for arity in (0, 1, 2):
                 got = pol(relation_set(rels, domain), arity)
+                assert_rebuilds(got)
                 assert [f.table for f in got] == sorted(f.table for f in oracle_pol(rels, arity, domain))
 
 
@@ -521,6 +528,7 @@ def test_core_matches_the_oracle():
         cases += [wide, cylinder(repeat_column(wide, 7, 150), 99)]
     cases.append(cylinder(repeat_column(Relation(Domain(300), 2, [(0, 299), (299, 1), (5, 5)]), 0, 2), 1))
     for r in cases:
+        assert_rebuilds(_core(r))
         assert _core(r) == oracle_core(r), r
 
 
@@ -559,6 +567,7 @@ def test_galois_check_hands_pol_one_maximal_invariant_per_orbit_at_max_k():
     # what galois_check hands pol for {AND} at n = 2 (max_k = 4), against
     # the 53 relations, 14 cores and 1,350 combinations of every arity and x
     kept = _relations(BOOL, 4, _maximal_invariants(_invariant_masks(opset([AND]), 4, Limits()), BOOL, 4))
+    assert_rebuilds(kept)
     cores = {_core(r) for r in kept} - {full_relation(BOOL, 0)}
     assert (len(kept), len(cores), sum(len(c) ** 2 for c in cores)) == (11, 5, 509)
     assert pol(relation_set(kept), 2, limits=Limits(max_candidates=509)) == galois_check(opset([AND]), 2).clone_ops
@@ -658,6 +667,7 @@ def test_invariant_closure_matches_naive_oracle():
             arity = rng.choice(arities)
             seeds = [t[:arity] for t in rng.sample(universe, rng.randint(0, 3))]
             got = invariant_closure(opset(ops, domain), seeds, arity)
+            assert_rebuilds(got)
             assert got == oracle_invariant_closure(ops, seeds, arity, domain), (ops, seeds, arity)
 
 

@@ -30,6 +30,7 @@ from helpers import (
     OR,
     THREE,
     XOR,
+    assert_rebuilds,
     bell_number,
     full_relation,
     oracle_blocks,
@@ -60,6 +61,8 @@ def test_partition_counts():
 def test_partitions_match_insertion_oracle():
     for k in range(1, 6):
         assert as_sets(all_partitions(k)) == oracle_partitions(k)
+        for p in all_partitions(k):
+            assert_rebuilds(p)
 
 
 def test_all_partitions_yields_no_duplicates():
@@ -181,6 +184,7 @@ def test_ideal_downset_matches_fixpoint_oracle():
         lattice = partition_lattice(k)
         for n in range(4):
             for gens in combinations(lattice, n):
+                assert_rebuilds(ideal_downset(gens, k))
                 assert set(ideal_downset(gens, k)) == oracle_ideal_downset(gens, k)
     rng = random.Random(5)
     # fewer at κ=6: the fixpoint oracle is slow on its 203-member ideal
@@ -188,6 +192,7 @@ def test_ideal_downset_matches_fixpoint_oracle():
         lattice = partition_lattice(k)
         for _ in range(count):
             gens = rng.sample(lattice, rng.randint(1, 3))
+            assert_rebuilds(ideal_downset(gens, k))
             assert set(ideal_downset(gens, k)) == oracle_ideal_downset(gens, k)
 
 
@@ -271,6 +276,7 @@ def test_diagonal_relation_matches_kernel_filter_oracle():
     for ideal, domain in cases:
         assert ideal.finest == reduce(Partition.meet, ideal.members)
         assert diagonal_relation(ideal, domain) == oracle_diagonal_relation(ideal, domain)
+        assert_rebuilds(diagonal_relation(ideal, domain))
 
 
 def test_diagonal_of_trivial_ideal_is_plain_diagonal():
@@ -444,6 +450,7 @@ def test_partition_lattice_laws():
     for _ in range(60):
         p, q = rng.choice(parts), rng.choice(parts)
         j, m = p.join(q), p.meet(q)
+        assert_rebuilds((j, m))
         assert p.refines(j) and q.refines(j)
         assert m.refines(p) and m.refines(q)
         assert p.join(q) == q.join(p)
@@ -460,6 +467,7 @@ def test_kernel_partition_matches_oracle():
     for _ in range(200):
         t = [rng.randrange(4) for _ in range(rng.randint(1, 7))]
         assert _blocks(kernel_partition(t)) == oracle_blocks(len(t), lambda i, j: t[i] == t[j])
+        assert_rebuilds(kernel_partition(t))
     with pytest.raises(ValueError, match="^kernel of the empty tuple is undefined$"):
         kernel_partition(())
 
@@ -474,5 +482,6 @@ def test_partition_meet_matches_oracle():
             for q in parts:
                 want = oracle_blocks(n, lambda i, j: together(p, i, j) and together(q, i, j))
                 assert _blocks(p.meet(q)) == want
+                assert_rebuilds(p.meet(q))
     with pytest.raises(ValueError, match="^partitions over different index sets$"):
         Partition.top(2).meet(Partition.top(3))

@@ -42,6 +42,7 @@ from helpers import (
     NEQ,
     NOT,
     THREE,
+    assert_rebuilds,
     empty_relation,
     full_relation,
     _oracle_tokenize,
@@ -178,6 +179,8 @@ def test_parser_matches_the_oracle_on_fuzzed_text():
         for parse, oracle in ((parse_pp, oracle_parse_pp), (parse_pp_file, oracle_parse_pp_file)):
             got = _outcome(parse, text)
             assert got == _outcome(oracle, text), text
+            if got[0] == "parsed":
+                assert_rebuilds(got[1])
             kinds.add(got[0] if got[0] == "parsed" else re.sub(r"'.*?'|: \w+$", "_", got[1]))
     # success and all 14 kinds of error, token texts and names blanked
     assert len(kinds) == 15, sorted(kinds)
@@ -386,6 +389,7 @@ def test_eval_matches_naive_oracle(monkeypatch):
         formulas += [random_formula(rng, domain, env_rels) for _ in range(30)]
         for phi in formulas:
             assert eval_pp(phi, env, domain) == naive_eval_pp(phi, env_rels, domain), phi.to_text()
+            assert_rebuilds(eval_pp(phi, env, domain))
             cases += 1
     assert cases == 3 * (len(EVAL_SHAPES) + 30)
     assert sorted(widths) == [0, 1, 2], widths
@@ -511,6 +515,7 @@ def test_pp_closure_and_witness_match_enumerate_all_oracle():
     for r, env in cases:
         closed = pp_closure_of(r, env)
         assert closed == oracle_pp_closure_of(r, env)
+        assert_rebuilds(closed)
         witness = pp_witness(r, env)
         assert is_pp_definable(r, env) == (witness is None) == (closed == r)
         if witness is not None:
